@@ -93,7 +93,6 @@ def cmd_tw(args: argparse.Namespace) -> int:
                 rng=random.Random(args.seed),
                 max_seconds=args.budget,
                 hooks=BoundHooks(tracer=tracer),
-                vector=False if args.no_vector else None,
             )
             print(f"treewidth <= {result.best_fitness} "
                   f"(GA-tw, {result.evaluations} evaluations)")
@@ -116,9 +115,9 @@ def cmd_tw(args: argparse.Namespace) -> int:
 
 
 def _print_cover_metrics(metrics: Metrics) -> None:
-    """One line per non-zero cover / GA / vector-kernel counter."""
+    """One line per non-zero cover / GA / cache counter."""
     counters = metrics.snapshot()["counters"]
-    prefixes = ("cover.", "ga.", "vector.", "cache.")
+    prefixes = ("cover.", "ga.", "cache.")
     interesting = {
         name: value
         for name, value in counters.items()
@@ -143,7 +142,6 @@ def cmd_ghw(args: argparse.Namespace) -> int:
                 max_seconds=args.budget,
                 hooks=BoundHooks(tracer=tracer),
                 metrics=metrics,
-                vector=False if args.no_vector else None,
             )
             print(f"ghw <= {result.best_fitness} "
                   f"(GA-ghw, {result.evaluations} evaluations)")
@@ -534,9 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time budget in seconds (default 30)")
         p.add_argument("--ga", action="store_true",
                        help="use the genetic algorithm (upper bound only)")
-        p.add_argument("--no-vector", action="store_true",
-                       help="disable the numpy population kernel for --ga "
-                       "(pure-python evaluation; same fitness values)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trace", metavar="FILE", default=None,
                        help="write a JSONL telemetry trace of the run")

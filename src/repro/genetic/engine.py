@@ -14,7 +14,6 @@ generations (the population itself is not elitist, as in the thesis).
 
 from __future__ import annotations
 
-import inspect
 import random
 import time
 from collections.abc import Callable, Sequence
@@ -108,24 +107,11 @@ def run_permutation_ga(
     order that maximizes shared state between individuals.  The GA's
     behaviour must not change: the evolutionary loop consumes no
     randomness during evaluation, so any evaluation order is legal.
-    Batch evaluators that accept an ``rng`` keyword get a *forked*
-    tie-break stream per generation — derived from the main stream's
-    state without drawing from it — so an evaluator may randomize its
-    evaluation order (never its values) while the evolutionary
-    trajectory stays bit-identical across evaluator implementations.
     """
     parameters.validate()
 
-    batch_takes_rng = fitness_batch is not None and _accepts_rng(
-        fitness_batch
-    )
-
     def evaluate(individuals: list[list]) -> list[float]:
         if fitness_batch is not None:
-            if batch_takes_rng:
-                return list(
-                    fitness_batch(individuals, rng=_fork_rng(rng))
-                )
             return list(fitness_batch(individuals))
         return [fitness(ind) for ind in individuals]
 
@@ -233,33 +219,6 @@ def run_permutation_ga(
                 stopped_by_bound=stopped_by_bound,
             )
         return result
-
-
-def _accepts_rng(fitness_batch: Callable) -> bool:
-    """Whether a batch evaluator declares an ``rng`` keyword."""
-    try:
-        parameters = inspect.signature(fitness_batch).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins only
-        return False
-    for parameter in parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if parameter.name == "rng" and parameter.kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        ):
-            return True
-    return False
-
-
-def _fork_rng(rng: random.Random) -> random.Random:
-    """A generator seeded from ``rng``'s state without advancing it.
-
-    ``getstate()`` is a tuple of ints (hash is stable across processes —
-    only str/bytes hashing is randomized), so the fork is deterministic:
-    same main-stream state, same tie-break stream.
-    """
-    return random.Random(hash(rng.getstate()))
 
 
 def _recombine(

@@ -12,7 +12,7 @@ the :class:`~repro.decomposition.elimination.OrderingEvaluator` (bitset
 adjacency), and the greedy covers use the hypergraph's cached incidence
 index (per-edge vertex bitmasks) for popcount gain computation.
 
-The default fitness path is *incremental* (:class:`PrefixGhwEvaluator`):
+The fitness path is *incremental* (:class:`PrefixGhwEvaluator`):
 the evaluator keeps one BitGraph elimination in flight, rewinds to the
 longest prefix an ordering shares with the previous one (eliminate /
 restore are reversible), and re-eliminates only the changed suffix —
@@ -177,34 +177,11 @@ class PrefixGhwEvaluator:
         self._present = present
         return width
 
-    def evaluate_population(
-        self, population: list[list], rng: "random.Random | None" = None
-    ) -> list[Width]:
+    def evaluate_population(self, population: list[list]) -> list[Width]:
         """Fitnesses of a whole generation, scored in prefix-friendly
-        order, reported in the population's order.
-
-        ``rng`` (the engine's forked tie-break stream) shuffles runs of
-        *identical* individuals — the only ties lexicographic ordering
-        leaves open.  Duplicates share their entire prefix, so fitness
-        values cannot depend on the shuffle; accepting the stream keeps
-        this path's rng contract aligned with the vector kernel's.
-        """
+        order, reported in the population's order."""
         as_bits = [self.order_bits(ind) for ind in population]
         order = sorted(range(len(population)), key=as_bits.__getitem__)
-        if rng is not None:
-            start = 0
-            while start < len(order):
-                stop = start + 1
-                while (
-                    stop < len(order)
-                    and as_bits[order[stop]] == as_bits[order[start]]
-                ):
-                    stop += 1
-                if stop - start > 1:
-                    run = order[start:stop]
-                    rng.shuffle(run)
-                    order[start:stop] = run
-                start = stop
         fitnesses: list[Width] = [0] * len(population)
         for i in order:
             fitnesses[i] = self._fitness_bits(as_bits[i])
@@ -219,9 +196,7 @@ def ga_ghw(
     rescore_exact: bool = True,
     seed_with_heuristics: bool = False,
     hooks: "BoundHooks | None" = None,
-    incremental: bool = True,
     metrics: Metrics | None = None,
-    vector: bool | None = None,
     engine: BitCoverEngine | None = None,
     seed_individuals: list | None = None,
 ) -> GAResult:
@@ -240,81 +215,20 @@ def ga_ghw(
     published upper bounds use the greedy fitness, which is a valid ghw
     upper bound throughout the run.
 
-    ``incremental`` (default) scores individuals through a
-    :class:`PrefixGhwEvaluator` — same fitness values bit for bit, with
-    shared elimination prefixes evaluated once; ``incremental=False``
-    keeps the per-individual reference path (the benchmark's baseline
-    arm).  ``metrics`` receives the cover-cache and prefix-reuse
-    counters of the incremental path.
-
-    ``vector`` selects the numpy population kernel
-    (:class:`~repro.vector.kernel.VectorGhwEvaluator`, bit-identical
-    fitness values again): ``None`` auto-enables it when numpy is
-    importable, ``True`` requests it (falling back with a one-time
-    :class:`~repro.vector.VectorKernelUnavailable` warning), ``False``
-    forces the pure-python paths.  ``engine`` shares a live
-    :class:`BitCoverEngine` (and its cover cache) with the caller —
-    the incremental re-solve API passes its edited engine here.
+    Individuals are scored by a :class:`PrefixGhwEvaluator` — the same
+    values as :func:`ghw_fitness` bit for bit, with shared elimination
+    prefixes evaluated once.  ``metrics`` receives its cover-cache and
+    prefix-reuse counters.  ``engine`` shares a live
+    :class:`BitCoverEngine` (and its cover cache) with the caller — the
+    incremental re-solve API passes its edited engine here.
     ``seed_individuals`` injects explicit orderings into the initial
     population (e.g. the previous decomposition's repaired ordering),
     on top of ``seed_with_heuristics``.
     """
-    isolated = hypergraph.isolated_vertices()
-    if isolated:
-        raise ValueError(
-            f"hypergraph has isolated vertices {sorted(map(repr, isolated))}; "
-            "no generalized hypertree decomposition exists"
-        )
-    params = parameters or GAParameters()
-    generator = rng or random.Random(0)
-    vertices = hypergraph.vertex_list()
-    if not vertices or hypergraph.num_edges == 0:
-        return GAResult(0, list(vertices), 0, 0, [0])
-
-    seeds = [list(seed) for seed in seed_individuals or []]
-    if seed_with_heuristics:
-        from ..bounds.upper import min_degree_ordering, min_fill_ordering
-
-        seeds += [
-            min_fill_ordering(hypergraph),
-            min_degree_ordering(hypergraph),
-        ]
-    seeds = seeds or None
-
-    from .. import vector as vector_mod
-
-    if vector_mod.resolve_vector(vector, "GA-ghw"):
-        from ..vector.kernel import VectorGhwEvaluator
-
-        tracer = hooks.tracer if hooks is not None else None
-        vector_evaluator = VectorGhwEvaluator(
-            hypergraph, engine=engine, metrics=metrics, tracer=tracer
-        )
-        fitness = vector_evaluator.fitness
-        fitness_batch = vector_evaluator.fitness_batch
-    elif incremental:
-        prefix_evaluator = PrefixGhwEvaluator(
-            hypergraph, engine=engine, metrics=metrics
-        )
-        fitness = prefix_evaluator.fitness
-        fitness_batch = prefix_evaluator.evaluate_population
-    else:
-        cache: dict = {}
-        evaluator = OrderingEvaluator(hypergraph)
-        fitness = lambda ordering: ghw_fitness(  # noqa: E731
-            hypergraph, ordering, rng=None, cache=cache,
-            evaluator=evaluator,
-        )
-        fitness_batch = None
-    result = run_permutation_ga(
-        elements=vertices,
-        fitness=fitness,
-        parameters=params,
-        rng=generator,
-        max_seconds=max_seconds,
-        seed_individuals=seeds,
-        hooks=hooks,
-        fitness_batch=fitness_batch,
+    result = _prefix_ga(
+        hypergraph, "integral", parameters, rng,
+        max_seconds, seed_with_heuristics, hooks, metrics, engine,
+        seed_individuals,
     )
     if rescore_exact and result.best_individual:
         bags = elimination_bags(hypergraph, result.best_individual)
@@ -350,14 +264,27 @@ def ga_fhw(
     exact ``width_f(σ, H)`` of the ordering — no rescore pass exists
     because there is nothing tighter to rescore with.  Published upper
     bounds are exact rational incumbents for the portfolio's shared
-    channel.  The numpy vector kernel scores integral greedy covers
-    only, so GA-fhw always uses the incremental prefix evaluator.
+    channel.
     """
+    return _prefix_ga(
+        hypergraph, "fractional", parameters, rng,
+        max_seconds, seed_with_heuristics, hooks, metrics, engine,
+        seed_individuals,
+    )
+
+
+def _prefix_ga(
+    hypergraph, measure, parameters, rng, max_seconds,
+    seed_with_heuristics, hooks, metrics, engine, seed_individuals,
+) -> GAResult:
+    """The GA run shared by :func:`ga_ghw` and :func:`ga_fhw`: one
+    :class:`PrefixGhwEvaluator` under the bag-cost ``measure``."""
     isolated = hypergraph.isolated_vertices()
     if isolated:
+        kind = "fractional" if measure == "fractional" else "generalized"
         raise ValueError(
             f"hypergraph has isolated vertices {sorted(map(repr, isolated))}; "
-            "no fractional hypertree decomposition exists"
+            f"no {kind} hypertree decomposition exists"
         )
     params = parameters or GAParameters()
     generator = rng or random.Random(0)
@@ -373,18 +300,17 @@ def ga_fhw(
             min_fill_ordering(hypergraph),
             min_degree_ordering(hypergraph),
         ]
-    seeds = seeds or None
 
-    prefix_evaluator = PrefixGhwEvaluator(
-        hypergraph, engine=engine, metrics=metrics, measure="fractional"
+    evaluator = PrefixGhwEvaluator(
+        hypergraph, engine=engine, metrics=metrics, measure=measure
     )
     return run_permutation_ga(
         elements=vertices,
-        fitness=prefix_evaluator.fitness,
+        fitness=evaluator.fitness,
         parameters=params,
         rng=generator,
         max_seconds=max_seconds,
-        seed_individuals=seeds,
+        seed_individuals=seeds or None,
         hooks=hooks,
-        fitness_batch=prefix_evaluator.evaluate_population,
+        fitness_batch=evaluator.evaluate_population,
     )

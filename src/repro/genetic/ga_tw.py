@@ -32,7 +32,6 @@ def ga_treewidth(
     seed_with_heuristics: bool = False,
     hooks: "BoundHooks | None" = None,
     metrics: Metrics | None = None,
-    vector: bool | None = None,
     seed_individuals: list | None = None,
 ) -> GAResult:
     """Run GA-tw; ``result.best_fitness`` is a treewidth upper bound and
@@ -46,13 +45,8 @@ def ga_treewidth(
     the run into the portfolio's shared incumbent channel: best-fitness
     improvements are published as treewidth upper bounds, and the run
     stops once an external lower bound proves the best fitness optimal.
-
-    ``vector`` selects the numpy population kernel
-    (:class:`~repro.vector.kernel.VectorTwEvaluator` — widths identical
-    to :meth:`OrderingEvaluator.width` bit for bit): ``None`` auto-uses
-    it when numpy is importable, ``True`` requests it (one-time warning
-    plus fallback when it is not), ``False`` forces the pure-python
-    evaluator.  ``metrics`` receives the ``vector.*`` batch counters.
+    ``metrics`` keeps the call surface uniform with :func:`ga_ghw`;
+    GA-tw has no cover cache, so it records no counters.
     """
     graph = (
         structure.primal_graph()
@@ -72,27 +66,12 @@ def ga_treewidth(
         seeds += [min_fill_ordering(graph), min_degree_ordering(graph)]
     seeds = seeds or None
 
-    from .. import vector as vector_mod
-
-    fitness_batch = None
-    evaluator = OrderingEvaluator(graph)
-    fitness = evaluator.width
-    if vector_mod.resolve_vector(vector, "GA-tw"):
-        from ..vector.kernel import VectorTwEvaluator
-
-        tracer = hooks.tracer if hooks is not None else None
-        vector_evaluator = VectorTwEvaluator(
-            graph, metrics=metrics, tracer=tracer
-        )
-        fitness = vector_evaluator.fitness
-        fitness_batch = vector_evaluator.fitness_batch
     return run_permutation_ga(
         elements=vertices,
-        fitness=fitness,
+        fitness=OrderingEvaluator(graph).width,
         parameters=params,
         rng=generator,
         max_seconds=max_seconds,
         seed_individuals=seeds,
         hooks=hooks,
-        fitness_batch=fitness_batch,
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..bounds.ghw_lower import ghw_lower_bound
 from ..bounds.lower import minor_gamma_r, minor_min_width
@@ -86,8 +87,9 @@ class BackendReport:
     ``upper_bound`` is witnessed by ``ordering``; ``lower_bound`` is the
     worker's own proof (``None`` for heuristic-only backends like the
     GA).  ``events`` is the worker-local bound stream (filled in by the
-    runner's worker shim).  ``error`` marks a worker that raised — all
-    other fields are then meaningless.
+    runner's worker shim, which also stamps ``elapsed_seconds`` with the
+    worker's wall time).  ``error`` marks a worker that raised — the
+    bound fields are then meaningless.
 
     ``witness`` is the decomposition payload
     (:meth:`~repro.decomposition.htd.HypertreeDecomposition.to_payload`)
@@ -125,7 +127,6 @@ def _search_report(name: str, result) -> BackendReport:
         ordering=list(result.ordering) if result.ordering is not None else None,
         exact=result.exact,
         nodes=result.stats.nodes_expanded,
-        elapsed_seconds=result.stats.elapsed_seconds,
     )
 
 
@@ -139,7 +140,6 @@ def _ga_report(name: str, result) -> BackendReport:
         ordering=list(result.best_individual) or None,
         exact=False,
         nodes=result.evaluations,
-        elapsed_seconds=result.elapsed_seconds,
         stopped_by_bound=result.stopped_by_bound,
     )
 
@@ -197,34 +197,6 @@ def _run_ga_tw(structure, config: BackendConfig, hooks: BoundHooks):
     return _ga_report("ga-tw", result)
 
 
-def _run_minfill_tw(structure, config: BackendConfig, hooks: BoundHooks):
-    graph = (
-        structure.primal_graph()
-        if isinstance(structure, Hypergraph)
-        else structure.copy()
-    )
-    rng = random.Random(config.seed)
-    if graph.num_vertices == 0:
-        return BackendReport(
-            backend="min-fill", upper_bound=0, lower_bound=0,
-            ordering=[], exact=True,
-        )
-    lb = max(minor_min_width(graph, rng), minor_gamma_r(graph, rng))
-    ordering, ub = best_heuristic_ordering(graph, rng)
-    if hooks.publish_lower is not None:
-        hooks.publish_lower(lb)
-    if hooks.publish_upper is not None:
-        hooks.publish_upper(ub)
-    return BackendReport(
-        backend="min-fill",
-        upper_bound=ub,
-        lower_bound=lb,
-        ordering=list(ordering),
-        exact=lb >= ub,
-        nodes=0,
-    )
-
-
 # -- ghw backends -------------------------------------------------------
 
 
@@ -256,31 +228,6 @@ def _run_ga_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         seed_individuals=_warm_seeds(config),
     )
     return _ga_report("ga-ghw", result)
-
-
-def _run_minfill_ghw(structure, config: BackendConfig, hooks: BoundHooks):
-    hypergraph = _as_hypergraph(structure)
-    rng = random.Random(config.seed)
-    if hypergraph.num_edges == 0:
-        return BackendReport(
-            backend="min-fill-ghw", upper_bound=0, lower_bound=0,
-            ordering=hypergraph.vertex_list(), exact=True,
-        )
-    lb = ghw_lower_bound(hypergraph, rng)
-    ordering, _tw = best_heuristic_ordering(hypergraph, rng)
-    ub = ghw_ordering_width(hypergraph, list(ordering))
-    if hooks.publish_lower is not None:
-        hooks.publish_lower(lb)
-    if hooks.publish_upper is not None:
-        hooks.publish_upper(ub)
-    return BackendReport(
-        backend="min-fill-ghw",
-        upper_bound=ub,
-        lower_bound=lb,
-        ordering=list(ordering),
-        exact=lb >= ub,
-        nodes=0,
-    )
 
 
 # -- hw backends --------------------------------------------------------
@@ -346,43 +293,6 @@ def _run_cdcl_hw(structure, config: BackendConfig, hooks: BoundHooks):
     )
 
 
-def _run_minfill_hw(structure, config: BackendConfig, hooks: BoundHooks):
-    """The hw seed backend: a certified ``htd_from_ordering`` witness on
-    the min-fill ordering for the upper bound, the ghw lower-bound
-    battery (ghw ≤ hw) for the lower — published immediately."""
-    from ..decomposition.htd import htd_from_ordering
-
-    hypergraph = _as_hypergraph(structure)
-    rng = random.Random(config.seed)
-    if hypergraph.num_edges == 0:
-        return BackendReport(
-            backend="min-fill-hw", upper_bound=0, lower_bound=0,
-            ordering=None, exact=True,
-        )
-    lb = ghw_lower_bound(hypergraph, rng)
-    from ..bounds.upper import min_fill_ordering
-
-    ordering = min_fill_ordering(hypergraph, rng)
-    htd = htd_from_ordering(hypergraph, ordering)
-    problems = htd.violations(hypergraph)
-    if problems:  # pragma: no cover — htd_from_ordering certifies
-        raise AssertionError("min-fill hw witness invalid: " + problems[0])
-    ub = htd.ghw_width
-    if hooks.publish_lower is not None:
-        hooks.publish_lower(lb)
-    if hooks.publish_upper is not None:
-        hooks.publish_upper(ub)
-    return BackendReport(
-        backend="min-fill-hw",
-        upper_bound=ub,
-        lower_bound=lb,
-        ordering=None,
-        exact=lb >= ub,
-        nodes=0,
-        witness=htd.to_payload(),
-    )
-
-
 # -- fhw backends -------------------------------------------------------
 
 
@@ -407,32 +317,84 @@ def _run_ga_fhw(structure, config: BackendConfig, hooks: BoundHooks):
     return _ga_report("ga-fhw", result)
 
 
-def _run_minfill_fhw(structure, config: BackendConfig, hooks: BoundHooks):
-    """The fhw seed backend: min-fill ordering scored with exact
-    rational LP covers for the upper bound, the un-ceiled (mmw+1)/rank
-    bound for the lower — milliseconds, published immediately."""
-    hypergraph = _as_hypergraph(structure)
-    rng = random.Random(config.seed)
-    if hypergraph.num_edges == 0:
-        return BackendReport(
-            backend="min-fill-fhw", upper_bound=0, lower_bound=0,
-            ordering=hypergraph.vertex_list(), exact=True,
-        )
+# -- min-fill seed backends ---------------------------------------------
+
+
+def _minfill_tw_bounds(graph: Graph, rng: random.Random):
+    lb = max(minor_min_width(graph, rng), minor_gamma_r(graph, rng))
+    ordering, ub = best_heuristic_ordering(graph, rng)
+    return lb, ub, list(ordering), None
+
+
+def _minfill_ghw_bounds(hypergraph: Hypergraph, rng: random.Random):
+    lb = ghw_lower_bound(hypergraph, rng)
+    ordering, _tw = best_heuristic_ordering(hypergraph, rng)
+    ub = ghw_ordering_width(hypergraph, list(ordering))
+    return lb, ub, list(ordering), None
+
+
+def _minfill_hw_bounds(hypergraph: Hypergraph, rng: random.Random):
+    """A certified ``htd_from_ordering`` witness on the min-fill
+    ordering for the upper bound, the ghw lower-bound battery
+    (ghw ≤ hw) for the lower."""
+    from ..bounds.upper import min_fill_ordering
+    from ..decomposition.htd import htd_from_ordering
+
+    lb = ghw_lower_bound(hypergraph, rng)
+    htd = htd_from_ordering(hypergraph, min_fill_ordering(hypergraph, rng))
+    problems = htd.violations(hypergraph)
+    if problems:  # pragma: no cover — htd_from_ordering certifies
+        raise AssertionError("min-fill hw witness invalid: " + problems[0])
+    return lb, htd.ghw_width, None, htd.to_payload()
+
+
+def _minfill_fhw_bounds(hypergraph: Hypergraph, rng: random.Random):
+    """Min-fill ordering scored with exact rational LP covers for the
+    upper bound, the un-ceiled (mmw+1)/rank bound for the lower."""
     context = GhwSearchContext(hypergraph, measure="fractional")
     lb = context.heuristic(BitGraph.from_hypergraph(hypergraph))
     ordering, _tw = best_heuristic_ordering(hypergraph, rng)
     ub = initial_ghw_bounds(hypergraph, context, list(ordering))
+    return lb, ub, list(ordering), None
+
+
+def _run_minfill(
+    name: str, metric: str, bounds: Callable, structure,
+    config: BackendConfig, hooks: BoundHooks,
+):
+    """A seed backend: ``bounds(structure, rng)`` returns
+    ``(lb, ub, ordering, witness)`` in milliseconds, published before
+    the report goes home.  Edgeless instances (vertexless graphs for tw)
+    have width 0 and publish nothing."""
+    if metric == "tw":
+        structure = (
+            structure.primal_graph()
+            if isinstance(structure, Hypergraph)
+            else structure.copy()
+        )
+        empty = structure.num_vertices == 0
+    else:
+        structure = _as_hypergraph(structure)
+        empty = structure.num_edges == 0
+    if empty:
+        return BackendReport(
+            backend=name, upper_bound=0, lower_bound=0,
+            ordering=None if metric == "hw" else structure.vertex_list(),
+            exact=True,
+        )
+    lb, ub, ordering, witness = bounds(structure, random.Random(config.seed))
     if hooks.publish_lower is not None:
         hooks.publish_lower(lb)
     if hooks.publish_upper is not None:
         hooks.publish_upper(ub)
     return BackendReport(
-        backend="min-fill-fhw",
+        backend=name,
         upper_bound=ub,
         lower_bound=lb,
-        ordering=list(ordering),
+        ordering=ordering,
         exact=lb >= ub,
         nodes=0,
+        witness=witness,
     )
 
 
@@ -470,7 +432,6 @@ def _run_balanced_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         ordering=None,
         exact=result.exact,
         nodes=int(result.stats.get("parallel.subproblems", 0)),
-        elapsed_seconds=result.elapsed_seconds,
     )
 
 
@@ -514,18 +475,30 @@ BACKENDS: dict[str, BackendSpec] = {
         BackendSpec("astar-tw", "tw", _run_astar_tw),
         BackendSpec("bb-tw", "tw", _run_bb_tw),
         BackendSpec("ga-tw", "tw", _run_ga_tw),
-        BackendSpec("min-fill", "tw", _run_minfill_tw),
+        BackendSpec(
+            "min-fill", "tw",
+            partial(_run_minfill, "min-fill", "tw", _minfill_tw_bounds),
+        ),
         BackendSpec("bb-ghw", "ghw", _run_bb_ghw),
         BackendSpec("astar-ghw", "ghw", _run_astar_ghw),
         BackendSpec("ga-ghw", "ghw", _run_ga_ghw),
-        BackendSpec("min-fill-ghw", "ghw", _run_minfill_ghw),
+        BackendSpec(
+            "min-fill-ghw", "ghw",
+            partial(_run_minfill, "min-fill-ghw", "ghw", _minfill_ghw_bounds),
+        ),
         BackendSpec("balanced-ghw", "ghw", _run_balanced_ghw),
         BackendSpec("astar-fhw", "fhw", _run_astar_fhw),
         BackendSpec("ga-fhw", "fhw", _run_ga_fhw),
-        BackendSpec("min-fill-fhw", "fhw", _run_minfill_fhw),
+        BackendSpec(
+            "min-fill-fhw", "fhw",
+            partial(_run_minfill, "min-fill-fhw", "fhw", _minfill_fhw_bounds),
+        ),
         BackendSpec("optk-hw", "hw", _run_optk_hw),
         BackendSpec("cdcl-hw", "hw", _run_cdcl_hw),
-        BackendSpec("min-fill-hw", "hw", _run_minfill_hw),
+        BackendSpec(
+            "min-fill-hw", "hw",
+            partial(_run_minfill, "min-fill-hw", "hw", _minfill_hw_bounds),
+        ),
         BackendSpec("crash", "any", _run_crash),
         BackendSpec("stall", "any", _run_stall),
     )

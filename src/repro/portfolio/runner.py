@@ -127,10 +127,11 @@ def _worker_main(name, structure, config, shared, report_queue, t0):
     """Process entry point: run one backend, send its report home.
 
     Every exception becomes an error report — a failing backend must
-    never take the portfolio down with it.  Traced runs buffer records
-    locally (a worker cannot append to the parent's file) and ship them
-    home inside the report; the tracer shares the parent's time base so
-    merged timelines line up.
+    never take the portfolio down with it.  Every report, error or not,
+    carries the worker's wall time in ``elapsed_seconds``.  Traced runs
+    buffer records locally (a worker cannot append to the parent's file)
+    and ship them home inside the report; the tracer shares the parent's
+    time base so merged timelines line up.
     """
     tracer = (
         MemoryTracer(worker=name, t0=t0) if config.trace else NULL_TRACER
@@ -147,10 +148,9 @@ def _worker_main(name, structure, config, shared, report_queue, t0):
             report = BACKENDS[name].run(structure, config, hooks)
     except Exception as exc:  # noqa: BLE001 — forwarded, not swallowed
         report = BackendReport(
-            backend=name,
-            error=f"{type(exc).__name__}: {exc}",
-            elapsed_seconds=time.monotonic() - start,
+            backend=name, error=f"{type(exc).__name__}: {exc}"
         )
+    report.elapsed_seconds = time.monotonic() - start
     report.events = recorder.events
     if config.trace:
         report.trace_records = tracer.records

@@ -21,17 +21,39 @@ class ServiceProtocolError(RuntimeError):
     """The server answered with something that is not a response line."""
 
 
-def _request_body(structure, metric: str) -> dict:
+def _request_body(structure, metric: str) -> tuple[dict, dict]:
+    """The request body for ``structure`` plus the map from the string
+    labels given to vertices the wire cannot carry (tuples, frozensets,
+    booleans, ...) back to those vertices.  The server accepts only
+    JSON int and string vertices; pre-encoded bodies go out as they
+    are."""
+    if isinstance(structure, dict):  # pre-encoded {"edges": ..., ...}
+        return dict(structure, metric=metric), {}
     if isinstance(structure, Graph):
         structure = Hypergraph.from_graph(structure)
     if isinstance(structure, Hypergraph):
         body = encode_structure(structure)
-    elif isinstance(structure, dict):
-        body = dict(structure)  # pre-encoded {"edges": ..., ...}
     else:
         body = {"edges": [list(edge) for edge in structure]}
     body["metric"] = metric
-    return body
+    edges = body["edges"]
+    groups = list(edges.values() if isinstance(edges, dict) else edges)
+    groups.append(body.get("vertices", []))
+    taken = {v for group in groups for v in group if isinstance(v, str)}
+    labels: dict = {}
+    for group in groups:
+        for i, v in enumerate(group):
+            if isinstance(v, (int, str)) and not isinstance(v, bool):
+                continue
+            key = (type(v), v)  # keeps True apart from 1.0
+            if key not in labels:
+                label = repr(v)
+                while label in taken:
+                    label += "'"
+                taken.add(label)
+                labels[key] = label
+            group[i] = labels[key]
+    return body, {label: v for (_, v), label in labels.items()}
 
 
 class ServiceClient:
@@ -77,14 +99,21 @@ class ServiceClient:
         request_id=None,
     ) -> dict:
         """Solve one instance: a Graph/Hypergraph, a pre-encoded request
-        body, or a bare edge list."""
-        body = _request_body(structure, metric)
+        body, or a bare edge list.  Vertices that are not JSON ints or
+        strings travel as string labels; the response's ``ordering`` is
+        mapped back to the original vertices."""
+        body, labels = _request_body(structure, metric)
         body["op"] = "solve"
         if budget is not None:
             body["budget"] = budget
         if request_id is not None:
             body["id"] = request_id
-        return await self.request(body)
+        response = await self.request(body)
+        if labels and response.get("ordering") is not None:
+            response["ordering"] = [
+                labels.get(v, v) for v in response["ordering"]
+            ]
+        return response
 
     async def batch(self, requests: list[dict], request_id=None) -> dict:
         obj = {"op": "batch", "requests": requests}

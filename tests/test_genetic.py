@@ -1,14 +1,21 @@
 """Tests for tournament selection, the GA engine, GA-tw, GA-ghw and
 SAIGA-ghw."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.decomposition import ordering_width
+from repro.decomposition import fhd_from_ordering, ordering_width
 from repro.genetic import (
     GAParameters,
+    PrefixGhwEvaluator,
     SAIGAParameters,
+    ga_fhw,
     ga_ghw,
     ga_treewidth,
     ghw_fitness,
@@ -269,6 +276,118 @@ class TestGAGhw:
             rng=random.Random(4), rescore_exact=True,
         )
         assert exact.best_fitness <= greedy.best_fitness
+
+
+@st.composite
+def hypergraphs_with_orderings(draw, max_vertices=8, max_edges=8):
+    """A hypergraph without isolated vertices plus a few orderings."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    h = Hypergraph(vertices=range(n))
+    for i in range(draw(st.integers(min_value=1, max_value=max_edges))):
+        size = draw(st.integers(min_value=1, max_value=min(4, n)))
+        members = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=size, max_size=size, unique=True,
+            )
+        )
+        h.add_edge(members, name=f"e{i}")
+    for v in sorted(h.isolated_vertices()):
+        h.add_edge({v}, name=f"iso{v}")
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    orderings = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        ordering = h.vertex_list()
+        rng.shuffle(ordering)
+        orderings.append(ordering)
+    return h, orderings
+
+
+def _same_run(got, want):
+    assert got.history == want.history
+    assert got.best_fitness == want.best_fitness
+    assert got.best_individual == want.best_individual
+    assert got.evaluations == want.evaluations
+
+
+class TestFitnessReferences:
+    """Each metric has one GA fitness path; these pin it, value for value
+    and run for run, to the reference implementations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hypergraphs_with_orderings())
+    def test_prefix_fitness_equals_ghw_fitness(self, data):
+        h, orderings = data
+        evaluator = PrefixGhwEvaluator(h)
+        want = [ghw_fitness(h, ordering) for ordering in orderings]
+        assert [evaluator.fitness(o) for o in orderings] == want
+        assert PrefixGhwEvaluator(h).evaluate_population(orderings) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(hypergraphs_with_orderings(), st.integers(0, 2**16))
+    def test_ga_ghw_run_equals_reference_run(self, data, seed):
+        h, _ = data
+        params = GAParameters(population_size=8, generations=5)
+        cache: dict = {}
+        reference = run_permutation_ga(
+            h.vertex_list(),
+            lambda ordering: ghw_fitness(h, ordering, cache=cache),
+            params, random.Random(seed),
+        )
+        got = ga_ghw(h, params, rng=random.Random(seed),
+                     rescore_exact=False)
+        _same_run(got, reference)
+
+    @settings(max_examples=15, deadline=None)
+    @given(hypergraphs_with_orderings(max_vertices=6, max_edges=6),
+           st.integers(0, 2**16))
+    def test_ga_fhw_run_equals_reference_run(self, data, seed):
+        h, _ = data
+        params = GAParameters(population_size=6, generations=4)
+        reference = run_permutation_ga(
+            h.vertex_list(),
+            lambda ordering: fhd_from_ordering(h, ordering).fhw_width,
+            params, random.Random(seed),
+        )
+        got = ga_fhw(h, params, rng=random.Random(seed))
+        _same_run(got, reference)
+
+    @settings(max_examples=25, deadline=None)
+    @given(hypergraphs_with_orderings(), st.integers(0, 2**16))
+    def test_ga_treewidth_run_equals_reference_run(self, data, seed):
+        h, _ = data
+        graph = h.primal_graph()
+        params = GAParameters(population_size=8, generations=5)
+        reference = run_permutation_ga(
+            graph.vertex_list(),
+            lambda ordering: ordering_width(graph, ordering),
+            params, random.Random(seed),
+        )
+        got = ga_treewidth(h, params, rng=random.Random(seed))
+        _same_run(got, reference)
+
+    def test_default_paths_never_import_numpy(self):
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.portfolio, repro.service.server\n"
+            "from repro.genetic import ga_ghw, ga_treewidth\n"
+            "from repro.hypergraph import Hypergraph\n"
+            "from repro.instances import get_instance\n"
+            "graph = get_instance('myciel3').build()\n"
+            "assert ga_treewidth(graph).best_fitness == 5\n"
+            "ga_ghw(Hypergraph.from_graph(graph))\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSAIGA:

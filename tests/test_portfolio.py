@@ -13,10 +13,13 @@ import time
 import pytest
 
 from repro.genetic import GAParameters, ga_treewidth
+from repro.hypergraph import Graph, Hypergraph
+from repro.hypergraph.generators import cycle_graph
 from repro.instances import get_instance
 from repro.portfolio import (
     BACKENDS,
     DEFAULT_BACKENDS,
+    BackendConfig,
     EventRecorder,
     PortfolioError,
     SharedBounds,
@@ -181,6 +184,59 @@ class TestBackendRegistry:
     def test_crash_backend_matches_any_metric(self):
         assert resolve_backends(["crash"], "tw")[0] is BACKENDS["crash"]
         assert resolve_backends(["crash"], "ghw")[0] is BACKENDS["crash"]
+
+
+class TestBackendReports:
+    def test_every_report_carries_worker_wall_time(self):
+        # On a cycle min-fill is exact and A*-tw closes on its initial
+        # bounds without expanding a node; both still took time.
+        # A crashing worker's error report is stamped too.
+        result = run_portfolio(
+            cycle_graph(6), backends=["min-fill", "astar-tw", "crash"],
+            jobs=1, deterministic=True,
+        )
+        assert result.exact
+        for name, report in result.reports.items():
+            assert report.elapsed_seconds > 0, name
+
+    @pytest.mark.parametrize("name,metric,structure", [
+        ("min-fill", "tw", get_instance("myciel3").build()),
+        ("min-fill-ghw", "ghw", get_instance("fano").build()),
+        ("min-fill-hw", "hw", get_instance("fano").build()),
+        ("min-fill-fhw", "fhw", get_instance("fano").build()),
+    ])
+    def test_minfill_publishes_then_reports(self, name, metric, structure):
+        uppers, lowers = [], []
+        hooks = BoundHooks(publish_upper=uppers.append,
+                           publish_lower=lowers.append)
+        report = BACKENDS[name].run(structure, BackendConfig(), hooks)
+        assert report.backend == name and report.error is None
+        assert uppers == [report.upper_bound]
+        assert lowers == [report.lower_bound]
+        assert report.exact == (report.lower_bound >= report.upper_bound)
+        assert report.nodes == 0
+        if metric == "hw":
+            assert report.ordering is None and report.witness is not None
+        else:
+            assert sorted(report.ordering) == sorted(structure.vertex_list())
+            assert report.witness is None
+
+    @pytest.mark.parametrize("name,structure,ordering", [
+        ("min-fill", Graph(), []),
+        ("min-fill-ghw", Hypergraph(vertices=[1, 2]), [1, 2]),
+        ("min-fill-hw", Hypergraph(vertices=[1, 2]), None),
+        ("min-fill-fhw", Hypergraph(vertices=[1, 2]), [1, 2]),
+    ])
+    def test_minfill_empty_instance(self, name, structure, ordering):
+        published = []
+        hooks = BoundHooks(publish_upper=published.append,
+                           publish_lower=published.append)
+        report = BACKENDS[name].run(structure, BackendConfig(), hooks)
+        assert (report.upper_bound, report.lower_bound, report.exact) == (
+            0, 0, True
+        )
+        assert report.ordering == ordering
+        assert published == []
 
 
 class TestPortfolioDeterministic:

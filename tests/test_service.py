@@ -26,6 +26,7 @@ from repro.hypergraph.generators import (
     path_graph,
     random_gnm_graph,
 )
+from repro.instances import get_instance
 from repro.portfolio.runner import run_portfolio
 from repro.service import (
     CertificateRejected,
@@ -237,6 +238,32 @@ class TestWireProtocol:
                 "vertices": ["lonely"],
             })
             assert ok["status"] in ("ok", "bracket")
+            await service.close()
+
+        run(main())
+
+    def test_client_relabels_tuple_vertices(self):
+        # queen5_5's vertices are (row, column) tuples, which the wire
+        # cannot carry; the client sends string labels and maps the
+        # served ordering back.
+        async def main():
+            graph = get_instance("queen5_5").build()
+            service = DecompositionService(
+                ServiceConfig(port=0, default_budget=60.0)
+            )
+            await service.start()
+            client = await ServiceClient.connect(port=service.port)
+            response = await client.solve(graph, "tw")
+            assert response["status"] == "ok", response
+            assert response["width"] == 18
+            assert sorted(response["ordering"]) == sorted(graph.vertex_list())
+            assert ordering_width(graph, response["ordering"]) == 18
+            # The server stays as strict as before on raw tuple bodies.
+            raw = await client.request(
+                {"op": "solve", "metric": "tw", "edges": [[[0, 1], [1, 0]]]}
+            )
+            assert raw["status"] == "error" and raw["code"] == "bad-request"
+            await client.close()
             await service.close()
 
         run(main())
