@@ -1,6 +1,6 @@
 """Frozenset vs. bitmask cover engine benchmarks for the ghw hot paths.
 
-Three workloads, per ghw table instance:
+Two workloads, per ghw table instance:
 
 * ``covers`` — the bag-cover query stream of an elimination search:
   exact covers of the elimination bags of several random orderings plus
@@ -11,10 +11,6 @@ Three workloads, per ghw table instance:
   contender is :class:`~repro.setcover.bitcover.BitCoverEngine` fed the
   interned masks (what the searches hand it).  All exact sizes are
   asserted equal.  **This is the gated ≥2x median.**
-* ``bb-ghw`` — the full search under ``cover="set"`` vs ``cover="bit"``:
-  widths and exactness asserted identical on instances both arms close;
-  end-to-end times are reported (covers share the search with graph-side
-  work, so this ratio is smaller than the cover-stream ratio).
 * ``ga`` — the permutation GA over the per-individual reference
   fitness :func:`~repro.genetic.ga_ghw.ghw_fitness` vs. GA-ghw, which
   scores through :class:`~repro.genetic.ga_ghw.PrefixGhwEvaluator`.  Best
@@ -41,7 +37,6 @@ from repro.decomposition.elimination import OrderingEvaluator, elimination_bags
 from repro.genetic.engine import GAParameters, run_permutation_ga
 from repro.genetic.ga_ghw import ga_ghw, ghw_fitness
 from repro.instances import get_instance
-from repro.search import SearchBudget, branch_and_bound_ghw
 from repro.setcover import BitCoverEngine, exact_set_cover, greedy_set_cover
 
 from _harness import METRICS, bench_seed, report, scale
@@ -103,7 +98,6 @@ def _run_bit_arm(engine, exact_masks, greedy_masks):
 
 def run_cover_benchmark() -> tuple[list[list], dict]:
     orderings = 4 if scale() >= 0.25 else 2
-    node_budget = 3000 if scale() >= 0.25 else max(200, int(3000 * scale()))
     pop, gens = (40, 40) if scale() >= 0.25 else (16, 10)
     rows: list[list] = []
     cover_speedups: list[float] = []
@@ -129,25 +123,6 @@ def run_cover_benchmark() -> tuple[list[list], dict]:
         speedup = t_set / t_bit if t_bit > 0 else float("inf")
         cover_speedups.append(speedup)
         rows.append([name, "covers", t_set * 1e3, t_bit * 1e3, speedup])
-
-        # -- bb-ghw: end-to-end differential ---------------------------
-        budget = SearchBudget(max_nodes=node_budget)
-        start = time.perf_counter()
-        r_set = branch_and_bound_ghw(hypergraph, budget=budget, cover="set")
-        t_set = time.perf_counter() - start
-        budget = SearchBudget(max_nodes=node_budget)
-        start = time.perf_counter()
-        r_bit = branch_and_bound_ghw(
-            hypergraph, budget=budget, cover="bit", metrics=METRICS
-        )
-        t_bit = time.perf_counter() - start
-        if r_set.exact and r_bit.exact:
-            # Exact terminations must agree on the width; budgeted runs
-            # may close different subtrees first (dominance answers can
-            # finish goal tests sooner) and only promise valid bounds.
-            assert r_set.upper_bound == r_bit.upper_bound, name
-        speedup = t_set / t_bit if t_bit > 0 else float("inf")
-        rows.append([name, "bb-ghw", t_set * 1e3, t_bit * 1e3, speedup])
 
         # -- ga: reference vs incremental fitness ----------------------
         # The reference arm is the Fig. 7.1 fitness per individual, with
@@ -185,7 +160,6 @@ def run_cover_benchmark() -> tuple[list[list], dict]:
         "median_ga_ratio": statistics.median(ga_ratios),
         "speedup_target": SPEEDUP_TARGET,
         "orderings_per_instance": orderings,
-        "bb_node_budget": node_budget,
         "ga_population": pop,
         "ga_generations": gens,
         "gate_enforced": scale() >= 0.25,

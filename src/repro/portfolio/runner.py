@@ -11,15 +11,18 @@ timeline.
 
 Scheduling is wave-based: at most ``jobs`` workers run concurrently;
 when one finishes the next queued backend starts (inheriting whatever
-bounds the finished workers left in the channel).  A worker that raises
-is reported as an error and the race goes on; a worker that exceeds its
+bounds the finished workers left in the channel).  Once a finished
+report witnesses the optimum — it is exact, or its upper bound meets
+the channel's proven lower bound — the queued backends are skipped:
+they could only repeat a closed bracket.  A worker that raises is
+reported as an error and the race goes on; a worker that exceeds its
 grace period (twice the budget plus slack) is terminated.
 
 ``deterministic=True`` makes the outcome a pure function of the seeds:
 workers run isolated (no live bound exchange), wall-clock budgets are
-replaced by node/generation budgets, and all merging — winner selection
-and the event timeline — happens in the fixed backend order rather than
-arrival order.
+replaced by node/generation budgets, every requested backend runs, and
+all merging — winner selection and the event timeline — happens in the
+fixed backend order rather than arrival order.
 """
 
 from __future__ import annotations
@@ -182,9 +185,12 @@ def run_portfolio(
     hypergraphs (graphs are lifted when a ghw/fhw metric is forced, and
     hypergraphs drop to their primal graph for tw — the solvers already
     handle both); ``"fhw"`` races the rational-width backends, whose
-    bounds are exact ``Fraction``s end to end.  ``backends`` defaults to the full backend set for the
-    metric; with fewer ``jobs`` than backends the surplus runs in later
-    waves, seeded by the earlier waves' bounds.
+    bounds are exact ``Fraction``s end to end.  ``backends`` defaults to
+    the full backend set for the metric; with fewer ``jobs`` than
+    backends the surplus runs in later waves, seeded by the earlier
+    waves' bounds.  A live race skips the waves still queued once a
+    finished report witnesses the optimum; skipped backends are absent
+    from ``reports`` (and traced as ``worker_skipped``).
 
     ``initial_upper`` / ``initial_lower`` / ``warm_ordering`` warm-start
     the race (the incremental re-solve path): the upper bound pre-seeds
@@ -291,6 +297,20 @@ def run_portfolio(
             entry[0].join()
         return True
 
+    def bracket_closed() -> bool:
+        # A finished report witnesses the optimum.  Live races only:
+        # deterministic runs stay a pure function of the backend list.
+        if shared is None:
+            return False
+        lower = shared.lower()
+        return any(
+            report.error is None
+            and report.upper_bound is not None
+            and (report.exact
+                 or (lower is not None and report.upper_bound <= lower))
+            for report in reports.values()
+        )
+
     try:
         with tracer.span(
             "portfolio",
@@ -300,6 +320,11 @@ def run_portfolio(
             deterministic=deterministic,
         ):
             while pending or running:
+                if pending and bracket_closed():
+                    if tracing:
+                        for _, spec in pending:
+                            tracer.event("worker_skipped", backend=spec.name)
+                    pending.clear()
                 while pending and len(running) < jobs:
                     index, spec = pending.pop(0)
                     config = replace(base_config, seed=seed + index)
@@ -358,7 +383,7 @@ def run_portfolio(
         )
         running.clear()
 
-    ordered = [reports[spec.name] for spec in specs]
+    ordered = [reports[spec.name] for spec in specs if spec.name in reports]
     result = _aggregate(
         metric, ordered, time.monotonic() - t0, jobs, deterministic,
         initial_lower=initial_lower,

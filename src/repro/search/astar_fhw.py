@@ -29,10 +29,16 @@ import random
 from ..bounds.upper import best_heuristic_ordering
 from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.hypergraph import Hypergraph
+from ..setcover.fractional import fractional_set_cover
 from ..telemetry import Metrics
-from ..widths import Width
+from ..widths import Width, as_width
 from .astar_ghw import _astar_ghw_run
-from .common import SearchBudget, SearchResult, SearchStats
+from .common import (
+    SearchBudget,
+    SearchResult,
+    SearchStats,
+    brute_force_elimination_width,
+)
 from .ghw_common import GhwSearchContext, initial_ghw_bounds
 
 
@@ -42,17 +48,13 @@ def astar_fhw(
     rng: random.Random | None = None,
     use_reductions: bool = True,
     use_pr2: bool = True,
-    cover: str = "bit",
     metrics: Metrics | None = None,
 ) -> SearchResult:
     """Compute ``fhw(H)`` with A* (exact when the budget allows; anytime
     rational upper/lower bounds otherwise).
 
-    ``cover`` selects the LP cache path (``"bit"`` — the engine's
-    dominance-cached fractional layer, the default — or ``"set"``, the
-    frozenset reference); both explore the same tree and return the same
-    rational widths.  ``metrics`` receives the ``cover.fractional.*``
-    counters.
+    ``metrics`` receives the ``cover.fractional.*`` counters of the
+    engine's dominance-cached fractional layer.
     """
     stats = SearchStats()
     isolated = hypergraph.isolated_vertices()
@@ -65,7 +67,7 @@ def astar_fhw(
         return SearchResult(0, 0, hypergraph.vertex_list(), True, stats)
     graph = BitGraph.from_hypergraph(hypergraph)
     context = GhwSearchContext(
-        hypergraph, engine=cover, metrics=metrics, measure="fractional"
+        hypergraph, metrics=metrics, measure="fractional"
     )
     all_vertices = graph.vertex_list()
     if graph.num_vertices <= 1:
@@ -90,27 +92,14 @@ def astar_fhw(
 
 
 def brute_force_fhw(hypergraph: Hypergraph) -> Width:
-    """Exact fhw over all elimination orderings with exact LP covers —
-    reference oracle for tests and the fuzzer (factorial; tiny inputs
-    only).  Distinct bags recur heavily across orderings, so the
-    engine's fractional cache keeps the LP count at most ``2^n``.
-    """
-    import itertools
-
-    from ..decomposition.elimination import elimination_bags
-
-    vertices = hypergraph.vertex_list()
-    if len(vertices) > 8:
+    """Exact fhw over all elimination orderings with exact frozenset LP
+    covers — reference oracle for tests and the fuzzer (a DP over vertex
+    subsets; small inputs only)."""
+    if hypergraph.num_vertices > 8:
         raise ValueError("brute force fhw is limited to 8 vertices")
     if hypergraph.num_edges == 0:
         return 0
-    context = GhwSearchContext(hypergraph, measure="fractional")
-    best: Width | None = None
-    for ordering in itertools.permutations(vertices):
-        bags = elimination_bags(hypergraph, list(ordering))
-        width = max(
-            context.fractional_cover_size(bag) for bag in bags.values()
-        )
-        if best is None or width < best:
-            best = width
-    return best if best is not None else 0
+    return brute_force_elimination_width(
+        hypergraph.primal_graph(),
+        lambda bag: as_width(fractional_set_cover(bag, hypergraph)[0]),
+    )

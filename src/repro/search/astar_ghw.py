@@ -29,7 +29,7 @@ from .common import (
     SearchStats,
 )
 from .ghw_common import GhwSearchContext, initial_ghw_bounds
-from .pruning import default_precedes, swap_equivalent
+from .pruning import pr2_allowed_bit, pr2_rank
 from .reductions import find_simplicial, find_strongly_almost_simplicial
 
 
@@ -51,16 +51,12 @@ def astar_ghw(
     use_reductions: bool = True,
     use_sas: bool = False,
     use_pr2: bool = True,
-    cover: str = "bit",
     metrics: Metrics | None = None,
 ) -> SearchResult:
     """Compute ``ghw(H)`` with A* (exact when the budget allows; anytime
     upper/lower bounds otherwise).
 
-    ``cover`` selects the bag-cover engine (``"bit"`` — the bitmask
-    engine with dominance caching, the default — or ``"set"``, the
-    frozenset reference); both explore the same tree and return the same
-    widths.  ``metrics`` receives the bit engine's cache counters.
+    ``metrics`` receives the cover engine's cache counters.
     """
     stats = SearchStats()
     isolated = hypergraph.isolated_vertices()
@@ -71,10 +67,8 @@ def astar_ghw(
         )
     if hypergraph.num_edges == 0:
         return SearchResult(0, 0, hypergraph.vertex_list(), True, stats)
-    # The primal graph always runs on the bitset kernel; `cover` only
-    # switches the bag-cover engine, so benchmarks isolate its effect.
     graph = BitGraph.from_hypergraph(hypergraph)
-    context = GhwSearchContext(hypergraph, engine=cover, metrics=metrics)
+    context = GhwSearchContext(hypergraph, metrics=metrics)
     all_vertices = graph.vertex_list()
     if graph.num_vertices <= 1:
         return SearchResult(1, 1, all_vertices, True, stats)
@@ -109,6 +103,7 @@ def _astar_ghw_run(
         return SearchResult(ub, ub, ub_ordering, True, stats)
     replayer = GraphReplayer(graph)
     counter = itertools.count()
+    rank = pr2_rank(graph.adjacency_masks()[1])
 
     def forced_vertex(current, bound):
         vertex = find_simplicial(current)
@@ -182,15 +177,7 @@ def _astar_ghw_run(
                 if g >= best_ub:
                     continue
                 if use_pr2 and not state.reduced:
-                    allowed = tuple(
-                        w
-                        for w in current.vertex_list()
-                        if w != vertex
-                        and (
-                            not swap_equivalent(current, vertex, w)
-                            or default_precedes(vertex, w)
-                        )
-                    )
+                    allowed = pr2_allowed_bit(current, vertex, rank)
                 else:
                     allowed = tuple(
                         w for w in current.vertex_list() if w != vertex

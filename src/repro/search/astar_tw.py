@@ -36,19 +36,10 @@ from .common import (
     SearchBudget,
     SearchResult,
     SearchStats,
+    brute_force_elimination_width,
 )
-from .pruning import (
-    default_precedes,
-    pr1_effective_width,
-    pr2_allowed_bit,
-    pr2_rank,
-    swap_equivalent,
-)
-from .reductions import (
-    find_reducible,
-    find_simplicial,
-    find_strongly_almost_simplicial,
-)
+from .pruning import pr1_effective_width, pr2_allowed_bit, pr2_rank
+from .reductions import find_simplicial, find_strongly_almost_simplicial
 
 
 @dataclass(order=True)
@@ -71,8 +62,7 @@ _NO_SAS = object()  # negative strongly-almost-simplicial cache entry
 
 
 class _KernelCaches:
-    """Per-run memoization for the bit kernel, keyed on the
-    remaining-vertex bitmask.
+    """Per-run memoization keyed on the remaining-vertex bitmask.
 
     Partial orderings over the same vertex *set* leave the same residual
     graph (elimination is order-independent on the filled result), so
@@ -83,7 +73,9 @@ class _KernelCaches:
     (degree, repr)-first almost-simplicial vertex, so it answers *every*
     bound exactly (``vertex`` if ``degree <= bound`` else ``None``); a
     negative answer is recorded with the bound it scanned up to and
-    covers every query at or below it.
+    covers every query at or below it.  Answers equal the uncached
+    ``h_fn`` and :func:`~repro.search.reductions.find_reducible`
+    (property-tested).
     """
 
     __slots__ = ("h_fn", "h_cache", "simplicial", "sas", "rank")
@@ -151,7 +143,6 @@ def astar_treewidth(
     use_pr2: bool = True,
     child_lower_bound: LowerBoundName = "mmw",
     memoize: bool = False,
-    kernel: str = "bit",
 ) -> SearchResult:
     """Compute the treewidth of a graph (or of a hypergraph, via its
     primal graph — Lemma 1) with A*.
@@ -167,24 +158,12 @@ def astar_treewidth(
     larger than its own.  Exactness is preserved; memory grows with the
     number of distinct expanded sets.
 
-    ``kernel`` selects the graph backend: ``"bit"`` (default) runs on the
-    bitset kernel (:class:`BitGraph`) with a per-run lower-bound cache
-    keyed on the remaining-vertex bitmask — states whose partial
-    orderings eliminate the same vertex set share one residual graph and
-    therefore one ``h`` evaluation; ``"set"`` runs on the reference
-    :class:`Graph`.  Both kernels are observationally identical
-    (property-tested), so results do not depend on the choice.
+    The search runs on the bitset kernel (:class:`BitGraph`) with a
+    per-run lower-bound and reduction cache keyed on the remaining-vertex
+    bitmask: states whose partial orderings eliminate the same vertex set
+    share one residual graph and therefore one ``h`` evaluation.
     """
-    if kernel == "bit":
-        graph = as_bitgraph(structure)
-    elif kernel == "set":
-        graph = (
-            structure.primal_graph()
-            if isinstance(structure, Hypergraph)
-            else structure.copy()
-        )
-    else:
-        raise ValueError(f"unknown kernel {kernel!r} (use 'bit' or 'set')")
+    graph = as_bitgraph(structure)
     stats = SearchStats()
     n = graph.num_vertices
     if n == 0:
@@ -201,7 +180,7 @@ def astar_treewidth(
 
     clock = (budget or SearchBudget()).start()
     span = clock.tracer.span(
-        "search", algo="astar-tw", n=n, kernel=kernel, lb=lb, ub=ub
+        "search", algo="astar-tw", n=n, lb=lb, ub=ub
     )
     with span:
         return _astar_treewidth_run(
@@ -222,11 +201,9 @@ def _astar_treewidth_run(
         return SearchResult(ub, ub, ub_ordering, True, stats)
     replayer = GraphReplayer(graph)
     counter = itertools.count()
-
-    is_bit = isinstance(graph, BitGraph)
-    # h and reduction memoization over residual graphs (bit kernel only;
-    # the mask is an O(1) canonical key for the eliminated vertex set).
-    caches = _KernelCaches(h_fn, graph) if is_bit else None
+    # h and reduction memoization over residual graphs (the mask is an
+    # O(1) canonical key for the eliminated vertex set).
+    caches = _KernelCaches(h_fn, graph)
 
     root_children = _initial_children(graph, lb, use_reductions, caches, stats)
     root = _State(
@@ -252,11 +229,7 @@ def _astar_treewidth_run(
             if state.f >= prune:
                 continue  # stale: an incumbent improved since the push
             if memoize:
-                key = (
-                    graph.mask_of(state.ordering)
-                    if is_bit
-                    else frozenset(state.ordering)
-                )
+                key = graph.mask_of(state.ordering)
                 dominated = expanded_sets.get(key)
                 if dominated is not None and dominated <= state.g:
                     continue  # same set reached before with cost <= ours
@@ -290,8 +263,8 @@ def _astar_treewidth_run(
                 clock.finish(stats)
                 return SearchResult(state.g, state.g, ordering, True, stats)
             for child in _expand(
-                state, current, replayer, h_fn, counter,
-                use_reductions, use_pr2, caches, stats,
+                state, current, counter, use_reductions, use_pr2, caches,
+                stats,
             ):
                 completion = pr1_effective_width(child.g, remaining - 1)
                 if completion < ub:
@@ -320,75 +293,52 @@ def _astar_treewidth_run(
 
 
 def _initial_children(
-    graph: Graph | BitGraph,
+    graph: BitGraph,
     lower_bound: int,
     use_reductions: bool,
-    caches: _KernelCaches | None = None,
-    stats: SearchStats | None = None,
+    caches: _KernelCaches,
+    stats: SearchStats,
 ) -> tuple[tuple, bool]:
     if use_reductions:
-        if caches is not None:
-            forced = caches.reducible(graph, lower_bound)
-        else:
-            forced = find_reducible(graph, lower_bound)
+        forced = caches.reducible(graph, lower_bound)
         if forced is not None:
-            if stats is not None:
-                stats.reductions_forced += 1
+            stats.reductions_forced += 1
             return (forced,), True
     return tuple(graph.vertex_list()), False
 
 
 def _expand(
     state: _State,
-    current: Graph | BitGraph,
-    replayer: GraphReplayer,
-    h_fn: Callable[[Graph], int],
+    current: BitGraph,
     counter,
     use_reductions: bool,
     use_pr2: bool,
-    caches: _KernelCaches | None = None,
-    stats: SearchStats | None = None,
+    caches: _KernelCaches,
+    stats: SearchStats,
 ) -> list[_State]:
     """Evaluate all children of ``state`` (graph positioned at its
     ordering on entry and on exit)."""
     children: list[_State] = []
-    last = state.ordering[-1] if state.ordering else None
     for vertex in state.children:
         if vertex not in current:
             continue  # defensive: reductions may have consumed it
         degree = current.degree(vertex)
         # PR 2 candidates must be computed while `vertex` is present.
         if use_pr2 and not state.reduced:
-            if caches is not None:
-                allowed = pr2_allowed_bit(current, vertex, caches.rank)
-            else:
-                allowed = tuple(
-                    w
-                    for w in current.vertex_list()
-                    if w != vertex
-                    and (
-                        not swap_equivalent(current, vertex, w)
-                        or default_precedes(vertex, w)
-                    )
-                )
+            allowed = pr2_allowed_bit(current, vertex, caches.rank)
         else:
             allowed = tuple(w for w in current.vertex_list() if w != vertex)
         record = current.eliminate(vertex)
         g = max(state.g, degree)
-        h = caches.h(current) if caches is not None else h_fn(current)
-        f = max(g, h, state.f)
+        f = max(g, caches.h(current), state.f)
         reduced = False
         child_children = allowed
         if use_reductions:
-            if caches is not None:
-                forced = caches.reducible(current, f)
-            else:
-                forced = find_reducible(current, f)
+            forced = caches.reducible(current, f)
             if forced is not None:
                 child_children = (forced,)
                 reduced = True
-                if stats is not None:
-                    stats.reductions_forced += 1
+                stats.reductions_forced += 1
         children.append(
             _State(
                 f=f,
@@ -407,47 +357,9 @@ def _expand(
 
 def brute_force_treewidth(graph: Graph) -> int:
     """Exact treewidth by dynamic programming over vertex subsets
-    (reference oracle for tests; exponential — use only for small n).
-
-    ``f(S)`` = best width of an ordering eliminating exactly the set S
-    first; the elimination degree of v against eliminated set S is the
-    number of distinct vertices outside S reachable from v through
-    eliminated vertices.
+    (reference oracle for tests; exponential — use only for small n):
+    the largest bag minus one, minimized over all elimination orderings.
     """
-    vertices = graph.vertex_list()
-    n = len(vertices)
-    if n == 0:
-        return 0
-    if n > 20:
+    if graph.num_vertices > 20:
         raise ValueError("brute force is limited to 20 vertices")
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [set(index[u] for u in graph.neighbors(v)) for v in vertices]
-
-    def eliminated_degree(v: int, eliminated_mask: int) -> int:
-        seen = {v}
-        frontier = [v]
-        boundary: set[int] = set()
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y in seen:
-                    continue
-                seen.add(y)
-                if (eliminated_mask >> y) & 1:
-                    frontier.append(y)
-                else:
-                    boundary.add(y)
-        return len(boundary)
-
-    best: dict[int, int] = {0: 0}
-    for mask in range(1, 1 << n):
-        value: int | None = None
-        for v in range(n):
-            if not (mask >> v) & 1:
-                continue
-            prev = mask & ~(1 << v)
-            candidate = max(best[prev], eliminated_degree(v, prev))
-            if value is None or candidate < value:
-                value = candidate
-        best[mask] = value if value is not None else 0
-    return best[(1 << n) - 1]
+    return brute_force_elimination_width(graph, lambda bag: len(bag) - 1)

@@ -25,6 +25,7 @@ from ..bounds.upper import best_heuristic_ordering
 from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.graph import Vertex
 from ..hypergraph.hypergraph import Hypergraph
+from ..setcover.exact import exact_set_cover
 from ..telemetry import Metrics
 from .common import (
     BoundsConverged,
@@ -32,9 +33,10 @@ from .common import (
     SearchBudget,
     SearchResult,
     SearchStats,
+    brute_force_elimination_width,
 )
 from .ghw_common import GhwSearchContext, initial_ghw_bounds
-from .pruning import default_precedes, swap_equivalent
+from .pruning import pr2_allowed_bit, pr2_rank
 from .reductions import find_simplicial, find_strongly_almost_simplicial
 
 
@@ -45,16 +47,12 @@ def branch_and_bound_ghw(
     use_reductions: bool = True,
     use_sas: bool = False,
     use_pr2: bool = True,
-    cover: str = "bit",
     metrics: Metrics | None = None,
 ) -> SearchResult:
     """Compute ``ghw(H)`` by branch and bound (exact when the budget
     allows; anytime bounds otherwise).
 
-    ``cover`` selects the bag-cover engine (``"bit"`` — the bitmask
-    engine with dominance caching, the default — or ``"set"``, the
-    frozenset reference); both explore the same tree and return the same
-    widths.  ``metrics`` receives the bit engine's cache counters.
+    ``metrics`` receives the cover engine's cache counters.
     """
     stats = SearchStats()
     isolated = hypergraph.isolated_vertices()
@@ -65,11 +63,9 @@ def branch_and_bound_ghw(
         )
     if hypergraph.num_edges == 0:
         return SearchResult(0, 0, hypergraph.vertex_list(), True, stats)
-    # The primal graph always runs on the bitset kernel; `cover` only
-    # switches the bag-cover engine, so benchmarks isolate its effect.
     graph = BitGraph.from_hypergraph(hypergraph)
     n = graph.num_vertices
-    context = GhwSearchContext(hypergraph, engine=cover, metrics=metrics)
+    context = GhwSearchContext(hypergraph, metrics=metrics)
     all_vertices = graph.vertex_list()
     if n <= 1:
         return SearchResult(1, 1, all_vertices, True, stats)
@@ -135,7 +131,7 @@ class _GhwDfs:
 
     def __init__(
         self,
-        graph,
+        graph: BitGraph,
         context: GhwSearchContext,
         clock,
         stats: SearchStats,
@@ -151,6 +147,7 @@ class _GhwDfs:
         self.use_reductions = use_reductions
         self.use_sas = use_sas
         self.use_pr2 = use_pr2
+        self.rank = pr2_rank(graph.adjacency_masks()[1])
         self.all_vertices = all_vertices
         self.ub: int = len(context.hypergraph.edges)
         self.ub_ordering: list[Vertex] = list(all_vertices)
@@ -201,15 +198,7 @@ class _GhwDfs:
             if child_g >= self.clock.prune_bound(self.ub):
                 continue
             if self.use_pr2 and not reduced:
-                allowed = tuple(
-                    w
-                    for w in self.graph.vertex_list()
-                    if w != vertex
-                    and (
-                        not swap_equivalent(self.graph, vertex, w)
-                        or default_precedes(vertex, w)
-                    )
-                )
+                allowed = pr2_allowed_bit(self.graph, vertex, self.rank)
             else:
                 allowed = tuple(
                     w for w in self.graph.vertex_list() if w != vertex
@@ -240,25 +229,17 @@ class _GhwDfs:
 
 
 def brute_force_ghw(hypergraph: Hypergraph) -> int:
-    """Exact ghw over all elimination orderings with exact covers —
-    reference oracle for tests (factorial; tiny inputs only).
+    """Exact ghw over all elimination orderings with exact frozenset
+    covers — reference oracle for tests and the fuzzer (a DP over vertex
+    subsets; small inputs only).
 
     Sound and complete by Theorem 3: some ordering reaches ghw(H).
     """
-    import itertools
-
-    from ..decomposition.elimination import elimination_bags
-
-    vertices = hypergraph.vertex_list()
-    if len(vertices) > 8:
+    if hypergraph.num_vertices > 8:
         raise ValueError("brute force ghw is limited to 8 vertices")
     if hypergraph.num_edges == 0:
         return 0
-    context = GhwSearchContext(hypergraph)
-    best = None
-    for ordering in itertools.permutations(vertices):
-        bags = elimination_bags(hypergraph, list(ordering))
-        width = max(context.exact_cover_size(bag) for bag in bags.values())
-        if best is None or width < best:
-            best = width
-    return best if best is not None else 0
+    return brute_force_elimination_width(
+        hypergraph.primal_graph(),
+        lambda bag: len(exact_set_cover(bag, hypergraph)),
+    )

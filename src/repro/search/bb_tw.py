@@ -33,13 +33,7 @@ from .common import (
     SearchResult,
     SearchStats,
 )
-from .pruning import (
-    default_precedes,
-    pr1_closes_subtree,
-    pr2_allowed_bit,
-    swap_equivalent,
-)
-from .reductions import find_reducible
+from .pruning import pr1_closes_subtree, pr2_allowed_bit
 
 
 def branch_and_bound_treewidth(
@@ -49,7 +43,6 @@ def branch_and_bound_treewidth(
     use_reductions: bool = True,
     use_pr2: bool = True,
     child_lower_bound: str = "mmw",
-    kernel: str = "bit",
 ) -> SearchResult:
     """Exact treewidth by depth-first branch and bound.
 
@@ -58,21 +51,10 @@ def branch_and_bound_treewidth(
     branch (everything explored was either expanded or had f >= ub), or
     the initial heuristic bound if the search never completed a level.
 
-    ``kernel`` selects the graph backend as in
-    :func:`~repro.search.astar_tw.astar_treewidth`: ``"bit"`` (default)
-    runs on :class:`BitGraph` with the remaining-vertex-bitmask
-    lower-bound cache; ``"set"`` runs on the reference :class:`Graph`.
+    Runs on :class:`BitGraph` with the remaining-vertex-bitmask caches of
+    :func:`~repro.search.astar_tw.astar_treewidth`.
     """
-    if kernel == "bit":
-        graph = as_bitgraph(structure)
-    elif kernel == "set":
-        graph = (
-            structure.primal_graph()
-            if isinstance(structure, Hypergraph)
-            else structure.copy()
-        )
-    else:
-        raise ValueError(f"unknown kernel {kernel!r} (use 'bit' or 'set')")
+    graph = as_bitgraph(structure)
     stats = SearchStats()
     n = graph.num_vertices
     all_vertices = graph.vertex_list()
@@ -89,7 +71,7 @@ def branch_and_bound_treewidth(
 
     clock = (budget or SearchBudget()).start()
     span = clock.tracer.span(
-        "search", algo="bb-tw", n=n, kernel=kernel, lb=lb, ub=ub
+        "search", algo="bb-tw", n=n, lb=lb, ub=ub
     )
     with span:
         clock.publish_lower(lb)
@@ -100,12 +82,9 @@ def branch_and_bound_treewidth(
         search.ub = ub
         search.ub_ordering = list(ub_ordering)
         try:
-            if not use_reductions:
-                forced = None
-            elif search.caches is not None:
-                forced = search.caches.reducible(graph, lb)
-            else:
-                forced = find_reducible(graph, lb)
+            forced = (
+                search.caches.reducible(graph, lb) if use_reductions else None
+            )
             if forced is not None:
                 stats.reductions_forced += 1
             roots = (forced,) if forced is not None else tuple(all_vertices)
@@ -148,7 +127,7 @@ class _DepthFirstSearch:
 
     def __init__(
         self,
-        graph: Graph | BitGraph,
+        graph: BitGraph,
         h_fn: Callable[[Graph], int],
         clock,
         stats: SearchStats,
@@ -157,7 +136,6 @@ class _DepthFirstSearch:
         all_vertices: list[Vertex],
     ):
         self.graph = graph
-        self.h_fn = h_fn
         self.clock = clock
         self.stats = stats
         self.use_reductions = use_reductions
@@ -166,12 +144,10 @@ class _DepthFirstSearch:
         self.ub: int = len(all_vertices)
         self.ub_ordering: list[Vertex] = list(all_vertices)
         self.converged_lb: int = 0
-        # h / reduction memoization keyed on the remaining-vertex bitmask
-        # (bit kernel only): sibling subtrees that eliminate the same
-        # vertex set share a residual graph, hence one evaluation.
-        self.caches: _KernelCaches | None = (
-            _KernelCaches(h_fn, graph) if isinstance(graph, BitGraph) else None
-        )
+        # h / reduction memoization keyed on the remaining-vertex bitmask:
+        # sibling subtrees that eliminate the same vertex set share a
+        # residual graph, hence one evaluation.
+        self.caches = _KernelCaches(h_fn, graph)
 
     def descend(
         self,
@@ -215,41 +191,19 @@ class _DepthFirstSearch:
             if child_g >= self.clock.prune_bound(self.ub):
                 continue
             if self.use_pr2 and not reduced:
-                if self.caches is not None:
-                    allowed = pr2_allowed_bit(
-                        self.graph, vertex, self.caches.rank
-                    )
-                else:
-                    allowed = tuple(
-                        w
-                        for w in self.graph.vertex_list()
-                        if w != vertex
-                        and (
-                            not swap_equivalent(self.graph, vertex, w)
-                            or default_precedes(vertex, w)
-                        )
-                    )
+                allowed = pr2_allowed_bit(self.graph, vertex, self.caches.rank)
             else:
                 allowed = tuple(
                     w for w in self.graph.vertex_list() if w != vertex
                 )
             self.graph.eliminate(vertex)
             try:
-                if self.caches is not None:
-                    h = self.caches.h(self.graph)
-                else:
-                    h = self.h_fn(self.graph)
-                child_f = max(child_g, h, f)
+                child_f = max(child_g, self.caches.h(self.graph), f)
                 if child_f < self.clock.prune_bound(self.ub):
                     child_reduced = False
                     child_children = allowed
                     if self.use_reductions:
-                        if self.caches is not None:
-                            forced = self.caches.reducible(
-                                self.graph, child_f
-                            )
-                        else:
-                            forced = find_reducible(self.graph, child_f)
+                        forced = self.caches.reducible(self.graph, child_f)
                         if forced is not None:
                             child_children = (forced,)
                             child_reduced = True

@@ -317,3 +317,65 @@ class GraphReplayer:
             self._graph.eliminate(vertex)
             self._applied.append(vertex)
         return self._graph
+
+
+def brute_force_elimination_width(
+    graph: Graph, bag_cost: Callable[[frozenset], Width]
+) -> Width:
+    """Smallest ``max bag_cost(bag)`` over all elimination orderings of
+    ``graph``, by dynamic programming over vertex subsets (the reference
+    oracle behind the ``brute_force_*`` widths; exponential — small n
+    only).
+
+    The bag of ``v`` depends only on the set S eliminated before it: ``v``
+    plus every vertex outside S reachable from ``v`` through S.  So
+    ``f(S)``, the best width of an ordering eliminating exactly S first,
+    is ``min over v in S of max(f(S - v), cost(bag(v, S - v)))``.  Costs
+    are memoized per distinct bag.
+    """
+    vertices = graph.vertex_list()
+    n = len(vertices)
+    if n == 0:
+        return 0
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [0] * n
+    for i, v in enumerate(vertices):
+        for u in graph.neighbors(v):
+            adj[i] |= 1 << index[u]
+
+    def bag_mask(v: int, eliminated: int) -> int:
+        seen = 1 << v
+        frontier = [v]
+        boundary = 0
+        while frontier:
+            fresh = adj[frontier.pop()] & ~seen
+            seen |= fresh
+            boundary |= fresh & ~eliminated
+            inner = fresh & eliminated
+            while inner:
+                low = inner & -inner
+                inner ^= low
+                frontier.append(low.bit_length() - 1)
+        return boundary | (1 << v)
+
+    costs: dict[int, Width] = {}
+    best: list[Width] = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        value: Width | None = None
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prev = mask ^ low
+            bag = bag_mask(low.bit_length() - 1, prev)
+            cost = costs.get(bag)
+            if cost is None:
+                cost = bag_cost(frozenset(
+                    vertices[i] for i in range(n) if (bag >> i) & 1
+                ))
+                costs[bag] = cost
+            candidate = max(best[prev], cost)
+            if value is None or candidate < value:
+                value = candidate
+        best[mask] = value
+    return best[-1]

@@ -10,10 +10,9 @@ decides what a bag costs: ``"integral"`` is the exact set-cover size
 :mod:`repro.setcover.fractional` (fhw) — same search tree, rational
 costs, so ``astar_fhw`` reuses this context nearly verbatim.  Exact
 covers come from the bitmask cover engine
-(:class:`repro.setcover.bitcover.BitCoverEngine`) by default — bags
+(:class:`repro.setcover.bitcover.BitCoverEngine`) — bags
 arrive as integer masks straight off the BitGraph kernel and repeat
-queries are answered through the dominance cache; ``engine="set"``
-selects the frozenset implementation for differential testing.
+queries are answered through the dominance cache.
 
 The heuristic ``h`` of a node combines a treewidth lower bound of the
 remaining (filled) graph with the k-set-cover bound of §8.1: some future
@@ -36,13 +35,11 @@ import math
 
 from fractions import Fraction
 
-from ..hypergraph.graph import Graph, Vertex
-from ..hypergraph.hypergraph import Hypergraph
 from ..bounds.lower import minor_min_width
+from ..hypergraph.bitgraph import BitGraph
+from ..hypergraph.graph import Vertex
+from ..hypergraph.hypergraph import Hypergraph
 from ..setcover.bitcover import BitCoverEngine
-from ..setcover.exact import exact_set_cover
-from ..setcover.fractional import fractional_set_cover
-from ..setcover.greedy import greedy_set_cover
 from ..telemetry import Metrics
 from ..widths import Width, as_width
 
@@ -50,13 +47,13 @@ from ..widths import Width, as_width
 class GhwSearchContext:
     """Bag-cover bookkeeping shared by the ghw searches.
 
-    ``engine="bit"`` (default) routes every cover query through a
-    :class:`~repro.setcover.bitcover.BitCoverEngine` with its dominance
-    cache; ``engine="set"`` keeps the frozenset covers with flat dict
-    caches (plus the exact-seeds-greedy coupling).  Both modes accept
-    frozenset bags and either graph kernel, so searches and tests can
-    mix them freely; pass a :class:`~repro.telemetry.Metrics` registry
-    to export the bit engine's cache counters.
+    Every cover query goes through one
+    :class:`~repro.setcover.bitcover.BitCoverEngine` and its dominance
+    cache.  Search states are :class:`~repro.hypergraph.bitgraph.BitGraph`
+    primal graphs of the hypergraph, whose vertex bits match the
+    engine's; the frozenset-bag methods intern their bag first.  Pass a
+    :class:`~repro.telemetry.Metrics` registry to export the engine's
+    cache counters.
 
     ``measure`` selects the bag cost: ``"integral"`` (exact set cover,
     the ghw default) or ``"fractional"`` (the exact rational LP optimum,
@@ -66,117 +63,65 @@ class GhwSearchContext:
     def __init__(
         self,
         hypergraph: Hypergraph,
-        engine: str = "bit",
         metrics: Metrics | None = None,
         measure: str = "integral",
     ):
-        if engine not in ("bit", "set"):
-            raise ValueError(f"unknown cover engine {engine!r}")
         if measure not in ("integral", "fractional"):
             raise ValueError(f"unknown bag-cost measure {measure!r}")
         self.hypergraph = hypergraph
-        self.engine_kind = engine
         self.measure = measure
-        # Hyperedge sizes restricted to any subset are at most the rank.
-        self.rank = max(1, hypergraph.rank())
-        index = hypergraph.incidence_index()
-        self._vertex_bit = index.vertex_bit
-        self._edge_masks = [
-            index.edge_vertex_masks[name] for name in index.edge_labels
-        ]
+        self.engine = BitCoverEngine(hypergraph, metrics)
         self._rank_memo: dict[int, int] = {}
-        if engine == "bit":
-            self.engine: BitCoverEngine | None = BitCoverEngine(
-                hypergraph, metrics
-            )
-        else:
-            self.engine = None
-            self._exact_cache: dict[frozenset, int] = {}
-            self._greedy_cache: dict[frozenset, int] = {}
-            self._fractional_cache: dict[frozenset, Width] = {}
 
     # -- covers ---------------------------------------------------------
 
     def exact_cover_size(self, bag: frozenset) -> int:
-        """Minimum cover cardinality of a frozenset bag (either engine)."""
-        if self.engine is not None:
-            return self.engine.exact_size(self.engine.mask_of(bag))
-        size = self._exact_cache.get(bag)
-        if size is None:
-            size = len(exact_set_cover(bag, self.hypergraph))
-            self._exact_cache[bag] = size
-            # Exact is a valid upper bound wherever the greedy cache is
-            # consulted (completion bounds) — seed it (exact <= greedy).
-            known = self._greedy_cache.get(bag)
-            if known is None or size < known:
-                self._greedy_cache[bag] = size
-        return size
+        """Minimum cover cardinality of a frozenset bag."""
+        return self.engine.exact_size(self.engine.mask_of(bag))
 
     def greedy_cover_size(self, bag: frozenset) -> int:
         """Size of a valid (greedy-or-better) cover of a frozenset bag."""
-        if self.engine is not None:
-            return self.engine.greedy_size(self.engine.mask_of(bag))
-        size = self._greedy_cache.get(bag)
-        if size is None:
-            size = len(greedy_set_cover(bag, self.hypergraph))
-            self._greedy_cache[bag] = size
-        return size
+        return self.engine.greedy_size(self.engine.mask_of(bag))
 
     def fractional_cover_size(self, bag: frozenset) -> Width:
-        """Exact fractional cover optimum of a frozenset bag (either
-        engine) — ``int`` or ``Fraction``, never float."""
-        if self.engine is not None:
-            return self.engine.fractional_size(self.engine.mask_of(bag))
-        value = self._fractional_cache.get(bag)
-        if value is None:
-            value = as_width(fractional_set_cover(bag, self.hypergraph)[0])
-            self._fractional_cache[bag] = value
-        return value
+        """Exact fractional cover optimum of a frozenset bag — ``int`` or
+        ``Fraction``, never float."""
+        return self.engine.fractional_size(self.engine.mask_of(bag))
 
     def bag_cost(self, bag: frozenset) -> Width:
         """The measure's cost of a frozenset bag: exact cover size for
         ``"integral"``, LP optimum for ``"fractional"``."""
+        return self._mask_cost(self.engine.mask_of(bag))
+
+    def _mask_cost(self, mask: int) -> Width:
         if self.measure == "fractional":
-            return self.fractional_cover_size(bag)
-        return self.exact_cover_size(bag)
+            return self.engine.fractional_size(mask)
+        return self.engine.exact_size(mask)
 
     # -- node values ----------------------------------------------------
 
-    def child_cost(self, graph, vertex: Vertex) -> Width:
+    def child_cost(self, graph: BitGraph, vertex: Vertex) -> Width:
         """Bag cost of eliminating ``vertex`` from the current graph
         state (the bag is ``{v} ∪ N(v)``), under the context's measure."""
-        if self.engine is not None and hasattr(graph, "neighbors_mask"):
-            # BitGraph interning matches the engine's (both number
-            # vertices in hypergraph insertion order), so the bag mask
-            # feeds the engine directly.
-            mask = graph.neighbors_mask(vertex) | (1 << graph.bit(vertex))
-            if self.measure == "fractional":
-                return self.engine.fractional_size(mask)
-            return self.engine.exact_size(mask)
-        bag = frozenset(graph.neighbors(vertex) | {vertex})
-        return self.bag_cost(bag)
+        return self._mask_cost(
+            graph.neighbors_mask(vertex) | (1 << graph.bit(vertex))
+        )
 
-    def remaining_rank(self, remaining) -> int:
+    def remaining_rank(self, remaining: frozenset | int) -> int:
         """Largest hyperedge restriction to the remaining vertices
         (a frozenset or an interned mask), memoized per remaining set."""
-        if isinstance(remaining, int):
-            mask = remaining
-        else:
-            vertex_bit = self._vertex_bit
-            mask = 0
-            for v in remaining:
-                mask |= 1 << vertex_bit[v]
+        mask = (
+            remaining
+            if isinstance(remaining, int)
+            else self.engine.mask_of(remaining)
+        )
         best = self._rank_memo.get(mask)
         if best is None:
-            best = 1
-            for edge_mask in self._edge_masks:
-                cut = (edge_mask & mask).bit_count()
-                if cut > best:
-                    best = cut
+            best = self.engine.restricted_rank(mask)
             self._rank_memo[mask] = best
         return best
 
-    def heuristic(self, graph) -> Width:
+    def heuristic(self, graph: BitGraph) -> Width:
         """Admissible lower bound for the remaining subproblem:
         ``ceil((mmw(G) + 1) / rank)`` with the rank restricted to the
         remaining vertices (tw-ksc-width, §8.1, applied node-wise).
@@ -188,15 +133,14 @@ class GhwSearchContext:
         if len(graph) == 0:
             return 0
         mmw = minor_min_width(graph)
-        if hasattr(graph, "present_mask"):
-            rank = self.remaining_rank(graph.present_mask)
-        else:
-            rank = self.remaining_rank(frozenset(graph.vertex_list()))
+        rank = self.remaining_rank(graph.present_mask)
         if self.measure == "fractional":
             return max(1, as_width(Fraction(mmw + 1, rank)))
         return max(1, math.ceil((mmw + 1) / rank))
 
-    def completion_bound(self, graph, good_enough: int | None = None) -> int:
+    def completion_bound(
+        self, graph: BitGraph, good_enough: int | None = None
+    ) -> Width:
         """Upper bound on the largest cover any completion from this
         graph state can require: a cover of the whole remaining vertex
         set covers every future bag.  ``good_enough`` (the caller's
@@ -208,26 +152,8 @@ class GhwSearchContext:
         like integral ones, and the LP layer has its own dominance
         cache, so ``good_enough`` is not needed to stay cheap)."""
         if self.measure == "fractional":
-            if self.engine is not None:
-                if hasattr(graph, "present_mask"):
-                    mask = graph.present_mask
-                else:
-                    mask = self.engine.mask_of(graph.vertex_list())
-                return self.engine.fractional_size(mask)
-            remaining = frozenset(graph.vertex_list())
-            if not remaining:
-                return 0
-            return self.fractional_cover_size(remaining)
-        if self.engine is not None:
-            if hasattr(graph, "present_mask"):
-                mask = graph.present_mask
-            else:
-                mask = self.engine.mask_of(graph.vertex_list())
-            return self.engine.upper_size(mask, good_enough)
-        remaining = frozenset(graph.vertex_list())
-        if not remaining:
-            return 0
-        return self.greedy_cover_size(remaining)
+            return self.engine.fractional_size(graph.present_mask)
+        return self.engine.upper_size(graph.present_mask, good_enough)
 
 
 def initial_ghw_bounds(

@@ -34,7 +34,7 @@ def pr1_closes_subtree(partial_width: int, remaining: int) -> bool:
     return remaining - 1 <= partial_width
 
 
-def swap_equivalent(graph: Graph | BitGraph, v: Vertex, w: Vertex) -> bool:
+def swap_equivalent(graph: Graph, v: Vertex, w: Vertex) -> bool:
     """PR 2 test on the graph state in which both ``v`` and ``w`` are
     still present: may the consecutive eliminations ``v, w`` and ``w, v``
     be exchanged without affecting width or the resulting graph?
@@ -45,38 +45,17 @@ def swap_equivalent(graph: Graph | BitGraph, v: Vertex, w: Vertex) -> bool:
       N[w] and w has a neighbor outside N[v] (then the second bag —
       N(v) ∪ N(w) minus the pair — is at least as large as both first
       bags, making the width order-independent).
+
+    The searches run the mask form, :func:`pr2_allowed_bit`; this set
+    form, with :func:`default_precedes`, is its test reference.
     """
     if not graph.has_edge(v, w):
         return True
-    if isinstance(graph, BitGraph):
-        nv = graph.neighbors_mask(v)
-        nw = graph.neighbors_mask(w)
-        bv = 1 << graph.bit(v)
-        bw = 1 << graph.bit(w)
-        return bool(nv & ~nw & ~bw) and bool(nw & ~nv & ~bv)
     nv = graph.neighbors(v)
     nw = graph.neighbors(w)
     v_private = nv - nw - {w}
     w_private = nw - nv - {v}
     return bool(v_private) and bool(w_private)
-
-
-def pr2_allows_child(graph_before_last: Graph, last: Vertex, child: Vertex,
-                     precedes) -> bool:
-    """Decide whether branching ``..., last, child, ...`` must be explored.
-
-    ``graph_before_last`` is the graph state in which both ``last`` and
-    ``child`` were still present.  If the pair is swap-equivalent there,
-    the sibling branch ``..., child, last, ...`` covers this subtree, so
-    only the branch whose first element wins ``precedes`` is kept.
-
-    ``precedes(a, b)`` must be a strict total order over vertices (any
-    fixed tie-break works; we use repr order by default at call sites).
-    Returns True when this branch survives.
-    """
-    if not swap_equivalent(graph_before_last, last, child):
-        return True
-    return precedes(last, child)
 
 
 def default_precedes(a: Vertex, b: Vertex) -> bool:
@@ -103,9 +82,10 @@ def pr2_rank(labels: list) -> list[int]:
 
 def pr2_allowed_bit(graph: BitGraph, vertex: Vertex,
                     rank: list[int]) -> tuple:
-    """The PR 2 sibling filter on the bit kernel: the tuple of vertices
-    ``w`` (in ``vertex_list`` order) whose branch survives below
-    ``vertex`` — exactly the set the reference expression
+    """The PR 2 sibling filter of every elimination-ordering search
+    (A*-tw, BB-tw, A*-ghw, BB-ghw, A*-fhw): the tuple of vertices ``w``
+    (in ``vertex_list`` order) whose branch survives below ``vertex`` —
+    exactly the set the reference expression
 
     ``tuple(w for w in vertex_list if w != v and
     (not swap_equivalent(g, v, w) or default_precedes(v, w)))``

@@ -4,12 +4,13 @@ One fuzz case draws a random instance from
 :mod:`repro.hypergraph.generators`, runs independent solvers on it and
 cross-examines everything they claim:
 
-* **Differential pairs** — A*-tw on the set and bit kernels, BB-tw,
-  BB-ghw on the set and bit cover engines and A*-ghw must agree; A*-fhw
-  on the bit and set cover paths must agree and respect the invariant
-  chain ``fhw ≤ ghw ≤ tw + 1``; on tiny instances they must also match
-  the brute-force oracles; the deterministic portfolio (optional, it
-  spawns processes) must match the exact width.
+* **Differential pairs** — A*-tw and BB-tw must agree, as must BB-ghw
+  and A*-ghw; A*-fhw must respect the invariant chain
+  ``fhw ≤ ghw ≤ tw + 1``; on small instances (tw up to
+  :data:`TW_ORACLE_VERTICES` vertices, ghw and fhw up to
+  :data:`HYPER_ORACLE_VERTICES`) every exact width must also match the
+  subset-DP brute-force oracles; the deterministic portfolio (optional,
+  it spawns processes) must match the exact width.
 * **Bound soundness** — GA and min-fill upper bounds may be loose but
   never undercut the exact width; proven lower bounds never exceed
   upper bounds; the hypertree width (det-k-decomp, opt-k-decomp and the
@@ -76,6 +77,10 @@ from .certificate import check_fhd, check_ghd, check_htd, check_td
 
 REPLAY_VERSION = 1
 
+# Largest instances checked against the brute-force oracles.
+TW_ORACLE_VERTICES = 10
+HYPER_ORACLE_VERTICES = 8
+
 DEFAULT_FAMILIES = ("gnm", "gnp", "hyper", "circuit")
 _GRAPH_FAMILIES = frozenset({"gnm", "gnp"})
 
@@ -94,8 +99,8 @@ FAULTS: dict[str, str] = {
     "dropped (descendant condition)",
     "fhw-round": "the fhw searches floor a rational width to an integer "
     "instead of staying exact",
-    "fhw-integral-cache": "the bit-engine fhw path answers a fractional "
-    "query with the integral cover size",
+    "fhw-integral-cache": "the fhw search answers a fractional query "
+    "with the integral cover size",
     "stitch-drop-cover": "the balanced stitcher drops separator edges "
     "from a joint bag's λ-label (coverage hole the certifier must flag)",
     "sat-learn-drop": "the CDCL solver drops a literal from learned "
@@ -283,7 +288,7 @@ class _FaultInjector:
                 if result.lower_bound > result.upper_bound:
                     result.lower_bound = result.upper_bound
                 self.applied += 1
-        elif self.fault == "fhw-integral-cache" and role == "fhw-bit":
+        elif self.fault == "fhw-integral-cache" and role == "fhw":
             if isinstance(result.upper_bound, Fraction):
                 result.upper_bound = math.ceil(result.upper_bound)
                 self.applied += 1
@@ -444,14 +449,13 @@ def _check_graph(graph: Graph, case_seed: int, index: int,
     findings: list[_Finding] = []
     try:
         results = {
-            "astar-bit": astar_treewidth(graph.copy(), kernel="bit"),
-            "astar-set": astar_treewidth(graph.copy(), kernel="set"),
-            "bb": branch_and_bound_treewidth(graph.copy(), kernel="bit"),
+            "astar": astar_treewidth(graph.copy()),
+            "bb": branch_and_bound_treewidth(graph.copy()),
         }
     except Exception as exc:  # noqa: BLE001 — crashes are findings too
         return [_Finding("solver-exception",
                          f"{type(exc).__name__}: {exc}")]
-    fault.result(results["astar-bit"], "astar-bit")
+    fault.result(results["astar"], "astar")
     fault.result(results["bb"], "bb")
 
     for role, result in results.items():
@@ -469,7 +473,7 @@ def _check_graph(graph: Graph, case_seed: int, index: int,
             "tw-differential",
             f"exact solvers disagree: {sorted(exact_widths.items())}",
         ))
-    if exact_widths and graph.num_vertices <= 8:
+    if exact_widths and graph.num_vertices <= TW_ORACLE_VERTICES:
         oracle = brute_force_treewidth(graph.copy())
         wrong = {r: w for r, w in exact_widths.items() if w != oracle}
         if wrong:
@@ -508,14 +512,13 @@ def _check_hypergraph(h: Hypergraph, case_seed: int, index: int,
     findings: list[_Finding] = []
     try:
         results = {
-            "bb-bit": branch_and_bound_ghw(h.copy(), cover="bit"),
-            "bb-set": branch_and_bound_ghw(h.copy(), cover="set"),
-            "astar": astar_ghw(h.copy(), cover="bit"),
+            "bb": branch_and_bound_ghw(h.copy()),
+            "astar": astar_ghw(h.copy()),
         }
     except Exception as exc:  # noqa: BLE001 — crashes are findings too
         return [_Finding("solver-exception",
                          f"{type(exc).__name__}: {exc}")]
-    fault.result(results["bb-bit"], "bb-bit")
+    fault.result(results["bb"], "bb")
     fault.result(results["astar"], "astar")
 
     for role, result in results.items():
@@ -533,7 +536,7 @@ def _check_hypergraph(h: Hypergraph, case_seed: int, index: int,
             "ghw-differential",
             f"exact solvers disagree: {sorted(exact_widths.items())}",
         ))
-    if exact_widths and h.num_vertices <= 6:
+    if exact_widths and h.num_vertices <= HYPER_ORACLE_VERTICES:
         oracle = brute_force_ghw(h.copy())
         wrong = {r: w for r, w in exact_widths.items() if w != oracle}
         if wrong:
@@ -632,7 +635,7 @@ def _check_balanced(h: Hypergraph, fault: "_FaultInjector",
 
 def _check_fhw(h: Hypergraph, fault: "_FaultInjector",
                exact_ghw: int | None) -> list[_Finding]:
-    """The fhw leg: bit/set differential, brute-force oracle, the
+    """The fhw leg: A*-fhw against the brute-force oracle, the
     invariant chain ``fhw ≤ ghw ≤ tw + 1``, and FHD certificates.
 
     The reverse inequality ``ghw = O(fhw · log n)`` (Marx) is real but
@@ -641,15 +644,11 @@ def _check_fhw(h: Hypergraph, fault: "_FaultInjector",
     that either never fires or flags correct solvers.
     """
     try:
-        results = {
-            "fhw-bit": astar_fhw(h.copy(), cover="bit"),
-            "fhw-set": astar_fhw(h.copy(), cover="set"),
-        }
+        results = {"fhw": astar_fhw(h.copy())}
     except Exception as exc:  # noqa: BLE001 — crashes are findings too
         return [_Finding("solver-exception",
                          f"fhw: {type(exc).__name__}: {exc}")]
-    fault.result(results["fhw-bit"], "fhw-bit")
-    fault.result(results["fhw-set"], "fhw-set")
+    fault.result(results["fhw"], "fhw")
     findings: list[_Finding] = []
     for role, result in results.items():
         for side, bound in (("lower", result.lower_bound),
@@ -669,12 +668,7 @@ def _check_fhw(h: Hypergraph, fault: "_FaultInjector",
     exact_widths = {
         role: r.upper_bound for role, r in results.items() if r.exact
     }
-    if len(set(exact_widths.values())) > 1:
-        findings.append(_Finding(
-            "fhw-differential",
-            f"exact fhw solvers disagree: {sorted(exact_widths.items())}",
-        ))
-    if exact_widths and h.num_vertices <= 6:
+    if exact_widths and h.num_vertices <= HYPER_ORACLE_VERTICES:
         oracle = brute_force_fhw(h.copy())
         wrong = {r: w for r, w in exact_widths.items() if w != oracle}
         if wrong:

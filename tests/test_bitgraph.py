@@ -18,10 +18,20 @@ from hypothesis import given, settings, strategies as st
 from repro.bounds import min_fill_ordering, minor_min_width
 from repro.hypergraph import Graph, Hypergraph
 from repro.hypergraph.bitgraph import BitGraph, as_bitgraph
-from repro.search import SearchBudget, brute_force_treewidth
-from repro.search.astar_tw import astar_treewidth
+from repro.search import brute_force_treewidth
+from repro.search.astar_tw import (
+    _child_lower_bound,
+    _KernelCaches,
+    astar_treewidth,
+)
 from repro.search.bb_tw import branch_and_bound_treewidth
-from repro.search.pruning import swap_equivalent
+from repro.search.pruning import (
+    default_precedes,
+    pr2_allowed_bit,
+    pr2_rank,
+    swap_equivalent,
+)
+from repro.search.reductions import find_reducible
 from repro.setcover import greedy_set_cover
 
 # ----------------------------------------------------------------------
@@ -269,35 +279,100 @@ def test_minor_min_width_matches_reference(ref):
 
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_vertices=8), st.booleans())
-def test_astar_kernels_agree_node_for_node(ref, memoize):
-    r_set = astar_treewidth(ref, kernel="set", memoize=memoize)
-    r_bit = astar_treewidth(ref, kernel="bit", memoize=memoize)
-    assert r_bit.width == r_set.width
-    assert r_bit.ordering == r_set.ordering
-    assert r_bit.stats.nodes_expanded == r_set.stats.nodes_expanded
-    assert r_bit.width == brute_force_treewidth(ref)
+def test_astar_width_matches_brute_force(ref, memoize):
+    assert astar_treewidth(ref, memoize=memoize).width == \
+        brute_force_treewidth(ref)
 
 
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_vertices=8))
-def test_bb_kernels_agree_node_for_node(ref):
-    r_set = branch_and_bound_treewidth(ref, kernel="set")
-    r_bit = branch_and_bound_treewidth(ref, kernel="bit")
-    assert r_bit.width == r_set.width
-    assert r_bit.ordering == r_set.ordering
-    assert r_bit.stats.nodes_expanded == r_set.stats.nodes_expanded
+def test_bb_width_matches_brute_force(ref):
+    assert branch_and_bound_treewidth(ref).width == brute_force_treewidth(ref)
 
 
-@settings(max_examples=30, deadline=None)
-@given(graphs(max_vertices=10))
-def test_astar_budget_parity_under_truncation(ref):
-    budget_set = SearchBudget(max_nodes=25)
-    budget_bit = SearchBudget(max_nodes=25)
-    r_set = astar_treewidth(ref, budget=budget_set, kernel="set")
-    r_bit = astar_treewidth(ref, budget=budget_bit, kernel="bit")
-    assert r_bit.upper_bound == r_set.upper_bound
-    assert r_bit.lower_bound == r_set.lower_bound
-    assert r_bit.stats.nodes_expanded == r_set.stats.nodes_expanded
+# ----------------------------------------------------------------------
+# Search components against their set-form references
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def chorded_cycles(draw, max_vertices=9):
+    """A Hamiltonian cycle plus random chords: no vertex of degree < 2,
+    so the reduction scans get past the simplicial check to the
+    strongly-almost-simplicial one."""
+    n = draw(st.integers(min_value=4, max_value=max_vertices))
+    g = Graph(vertices=range(n))
+    for i in range(n):
+        g.add_edge(i, (i + 1) % n)
+    chords = [(i, j) for i in range(n) for j in range(i + 2, n)
+              if (i, j) != (0, n - 1)]
+    for u, v in draw(st.lists(st.sampled_from(chords), max_size=n)):
+        g.add_edge(u, v)
+    return g
+
+
+@st.composite
+def residual_states(draw, max_vertices=9):
+    """A random graph plus a random prefix of eliminations: the residual
+    states the searches actually branch on (fill edges included)."""
+    ref = draw(st.one_of(graphs(max_vertices), chorded_cycles(max_vertices)))
+    vertices = ref.vertex_list()
+    prefix = draw(st.permutations(vertices))[
+        :draw(st.integers(min_value=0, max_value=len(vertices) - 1))
+    ]
+    return ref, prefix
+
+
+@settings(max_examples=80, deadline=None)
+@given(residual_states())
+def test_pr2_allowed_bit_matches_reference(state):
+    ref, prefix = state
+    bit = as_bitgraph(ref)
+    rank = pr2_rank(bit.adjacency_masks()[1])
+    for v in prefix:
+        ref.eliminate(v)
+        bit.eliminate(v)
+    for v in ref.vertex_list():
+        expected = tuple(
+            w
+            for w in ref.vertex_list()
+            if w != v
+            and (not swap_equivalent(ref, v, w) or default_precedes(v, w))
+        )
+        assert pr2_allowed_bit(bit, v, rank) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    residual_states(),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["mmw", "both"]),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=6),
+)
+def test_kernel_caches_match_uncached_reference(state, rng, lower, bounds):
+    """The mask-keyed caches answer like the uncached scans when the
+    residual state is reached again by another elimination order and the
+    reduction bounds arrive out of order: ascending on the first visit
+    (negative entries grow one bound at a time), then descending and in
+    a drawn order on the second (positive entries answer lower bounds)."""
+    ref, prefix = state
+    h_fn = _child_lower_bound(lower)
+    bit = as_bitgraph(ref)
+    caches = _KernelCaches(h_fn, bit)
+    for v in prefix:
+        ref.eliminate(v)
+    shuffled = list(prefix)
+    rng.shuffle(shuffled)
+    sweeps = (list(range(10)), list(range(9, -1, -1)) + bounds)
+    for order, sweep in zip((prefix, shuffled), sweeps):
+        for v in order:
+            bit.eliminate(v)
+        assert bit.present_mask == bit.mask_of(ref.vertex_list())
+        assert caches.h(bit) == h_fn(ref)
+        for bound in sweep:
+            assert caches.reducible(bit, bound) == find_reducible(ref, bound)
+        for _ in order:
+            bit.restore()
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hypergraph import Hypergraph
+from repro.hypergraph.bitgraph import BitGraph
 from repro.hypergraph.generators import adder_hypergraph, clique_hypergraph
 from repro.search.ghw_common import GhwSearchContext, initial_ghw_bounds
 from repro.bounds import min_fill_ordering
@@ -34,7 +35,7 @@ class TestCoverCaching:
 
     def test_child_cost_matches_bag_cover(self, example_hypergraph):
         context = GhwSearchContext(example_hypergraph)
-        primal = example_hypergraph.primal_graph()
+        primal = BitGraph.from_hypergraph(example_hypergraph)
         for v in primal.vertex_list():
             bag = frozenset(primal.neighbors(v) | {v})
             assert context.child_cost(primal, v) == \
@@ -43,7 +44,7 @@ class TestCoverCaching:
 
 class TestHeuristic:
     def test_empty_graph_zero(self, context, example_hypergraph):
-        primal = example_hypergraph.primal_graph()
+        primal = BitGraph.from_hypergraph(example_hypergraph)
         for v in list(primal.vertex_list()):
             primal.remove_vertex(v)
         assert context.heuristic(primal) == 0
@@ -53,7 +54,7 @@ class TestHeuristic:
         for n in (4, 6, 8):
             h = clique_hypergraph(n)
             context = GhwSearchContext(h)
-            assert context.heuristic(h.primal_graph()) <= n // 2
+            assert context.heuristic(BitGraph.from_hypergraph(h)) <= n // 2
 
     def test_remaining_rank(self, context, example_hypergraph):
         all_vertices = frozenset(example_hypergraph.vertex_list())
@@ -64,7 +65,7 @@ class TestHeuristic:
     def test_completion_bound_covers_every_future_bag(self):
         h = adder_hypergraph(4)
         context = GhwSearchContext(h)
-        primal = h.primal_graph()
+        primal = BitGraph.from_hypergraph(h)
         bound = context.completion_bound(primal)
         # any elimination bag's exact cover is at most the bound
         bags = elimination_bags(h, h.vertex_list())

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.decomposition import elimination_bags, ghw_ordering_width
 from repro.instances import get_instance
 from repro.search import (
     astar_fhw,
@@ -20,6 +21,9 @@ from repro.search import (
     branch_and_bound_ghw,
     branch_and_bound_treewidth,
 )
+from repro.setcover import exact_set_cover
+from repro.setcover.fractional import fractional_set_cover
+from repro.widths import as_width
 
 GOLDEN_TREEWIDTHS = {
     "myciel3": 5,
@@ -70,34 +74,38 @@ def test_golden_ghw(name, width):
     assert result.width == width
 
 
+def _reference_ghw_width(hypergraph, ordering):
+    return ghw_ordering_width(
+        hypergraph, ordering, cover_function=exact_set_cover
+    )
+
+
 @pytest.mark.parametrize("name,width", sorted(GOLDEN_GHWS.items()))
 def test_golden_ghw_engine_differential(name, width):
-    """The bitmask cover engine must not move any golden width: both
-    engines run to exact termination here, where the dominance cache can
-    only change *how fast* the optimum is proven, never its value."""
+    """The bitmask cover engine must not move any golden width: the
+    witness ordering of the engine-backed search has exactly the golden
+    width under the frozenset reference covers as well."""
     hypergraph = get_instance(name).build()
-    r_set = branch_and_bound_ghw(hypergraph, cover="set")
-    r_bit = branch_and_bound_ghw(hypergraph, cover="bit")
-    assert r_set.exact and r_bit.exact, f"{name}: a search did not close"
-    assert r_set.width == r_bit.width == width
-    assert r_set.lower_bound == r_bit.lower_bound
-    assert r_set.upper_bound == r_bit.upper_bound
+    result = branch_and_bound_ghw(hypergraph)
+    assert result.exact, f"{name}: search did not close"
+    assert result.width == width
+    assert _reference_ghw_width(hypergraph, result.ordering) == width
 
 
 @pytest.mark.parametrize("name", ["adder_10", "clique_8", "grid2d_4"])
 def test_golden_ghw_astar_engine_differential(name):
     """Same differential through the A* front end."""
     hypergraph = get_instance(name).build()
-    r_set = astar_ghw(hypergraph, cover="set")
-    r_bit = astar_ghw(hypergraph, cover="bit")
-    assert r_set.exact and r_bit.exact
-    assert r_set.width == r_bit.width == GOLDEN_GHWS[name]
+    result = astar_ghw(hypergraph)
+    assert result.exact
+    assert result.width == GOLDEN_GHWS[name]
+    assert _reference_ghw_width(hypergraph, result.ordering) == result.width
 
 
 @pytest.mark.parametrize("name", ["adder_5", "grid2d_4"])
 def test_golden_ghw_portfolio_unchanged(name):
-    """The portfolio's ghw backends (which run the bitmask engine by
-    default) must still land exactly on the golden widths."""
+    """The portfolio's ghw backends must still land exactly on the
+    golden widths."""
     from repro.portfolio import run_portfolio
 
     result = run_portfolio(
@@ -129,11 +137,18 @@ def test_golden_fhw(name, width):
 
 @pytest.mark.parametrize("name,width", sorted(GOLDEN_FHWS.items()))
 def test_golden_fhw_engine_differential(name, width):
+    """The engine's fractional layer against the frozenset LP reference:
+    with every bag re-solved by ``fractional_set_cover``, the A*-fhw
+    witness ordering has exactly the golden width."""
     hypergraph = get_instance(name).build()
-    r_set = astar_fhw(hypergraph, cover="set")
-    r_bit = astar_fhw(hypergraph, cover="bit")
-    assert r_set.exact and r_bit.exact
-    assert r_set.width == r_bit.width == width
+    result = astar_fhw(hypergraph)
+    assert result.exact
+    bags = elimination_bags(hypergraph, result.ordering)
+    reference = max(
+        as_width(fractional_set_cover(bag, hypergraph)[0])
+        for bag in bags.values()
+    )
+    assert result.width == reference == width
 
 
 @pytest.mark.parametrize("name", ["clique_3", "clique_5", "fano"])

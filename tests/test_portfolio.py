@@ -27,6 +27,7 @@ from repro.portfolio import (
     resolve_backends,
     run_portfolio,
 )
+from repro.telemetry import read_jsonl
 from repro.search import (
     BoundHooks,
     SearchBudget,
@@ -289,6 +290,23 @@ class TestPortfolioLive:
             assert result.width == optimum, name
             assert result.lower_bound == optimum, name
             assert result.ordering is not None
+
+    def test_closed_bracket_skips_queued_backends(self, tmp_path):
+        # Both exact searches start in the first wave and close myciel3;
+        # the queued GA and min-fill could only repeat the answer.
+        path = tmp_path / "skip.jsonl"
+        result = run_portfolio(
+            get_instance("myciel3").build(), metric="tw", jobs=2,
+            trace=str(path),
+        )
+        assert result.exact
+        assert result.width == MYCIEL3_TW
+        assert set(result.reports) == {"astar-tw", "bb-tw"}
+        skipped = [
+            r["fields"]["backend"] for r in read_jsonl(path)
+            if r["name"] == "worker_skipped"
+        ]
+        assert skipped == ["ga-tw", "min-fill"]
 
     def test_single_job_serial_waves(self):
         result = run_portfolio(
