@@ -1,18 +1,10 @@
-"""Balanced-separator decomposition benchmark: scaling and width gates.
+"""Balanced-separator decomposition benchmark: width and certification
+gates.
 
-Two properties of ``repro.parallel.balanced_ghw`` are measured:
-
-* **Scaling** (enforced at ``REPRO_BENCH_SCALE >= 0.25`` on machines
-  with >= 4 cores, report-only otherwise): the median single-instance
-  speedup of 4 workers over 1 worker on the large grid / DIMACS
-  instances is at least 1.8x.  Deterministic mode pins the work, so the
-  ratio isolates the pool's parallelism; on the single-core CI box the
-  ratio is honestly below 1 (process overhead) and the gate reports
-  only.
-* **Width domination** (always enforced): on the Table 8/9 instance
-  set the balanced width matches or beats the sequential deterministic
-  portfolio's width under a comparable budget — splitting on balanced
-  separators must not cost width.
+**Width domination** (always enforced): on the Table 8/9 instance set
+the width of ``repro.parallel.balanced_ghw`` matches or beats the
+sequential deterministic portfolio's width under a comparable budget —
+splitting on balanced separators must not cost width.
 
 Every decomposition the bench touches is re-certified with
 ``check_ghd`` (always enforced — a certification failure is a bug, not
@@ -26,10 +18,7 @@ standalone too::
 
 from __future__ import annotations
 
-import os
-import statistics
 import sys
-import time
 
 from repro.instances import get_instance
 from repro.parallel import BalancedConfig, balanced_ghw
@@ -38,10 +27,6 @@ from repro.portfolio import run_portfolio
 from repro.verify import check_ghd
 
 from _harness import bench_seed, report, scale
-
-# The scaling set: large grids plus the lifted DIMACS queen graph.
-SCALING_INSTANCES = ["grid2d_6", "grid2d_10"]
-SCALING_INSTANCES_FULL = ["bridge_10", "queen5_5"]
 
 # The Table 8/9 set (bench_table_8_bb_ghw / bench_table_9_astar_ghw).
 EXACT_INSTANCES = [
@@ -56,38 +41,6 @@ def _certified(result, hypergraph) -> bool:
     return not check_ghd(
         result.decomposition, hypergraph, claimed_width=result.width
     )
-
-
-def _scaling_rows() -> tuple[list[list], list[float], bool]:
-    instances = list(SCALING_INSTANCES)
-    if scale() >= 0.25:
-        instances += SCALING_INSTANCES_FULL
-    rows, speedups, all_certified = [], [], True
-    for name in instances:
-        hypergraph = as_hypergraph(get_instance(name).build())
-        timings = {}
-        widths = {}
-        for workers in (1, 4):
-            config = BalancedConfig(
-                workers=workers,
-                deterministic=True,
-                max_subproblems=int(4000 * max(scale(), 0.05)) or 200,
-                seed=bench_seed(),
-            )
-            start = time.monotonic()
-            result = balanced_ghw(hypergraph, config)
-            timings[workers] = time.monotonic() - start
-            widths[workers] = result.width
-            all_certified &= _certified(result, hypergraph)
-            rows.append([
-                "scaling", name, f"balanced-w{workers}", result.width,
-                result.stats.get("parallel.steals", 0),
-                round(timings[workers], 3),
-            ])
-        # Deterministic mode: same work, same widths, any worker count.
-        assert widths[1] == widths[4], (name, widths)
-        speedups.append(timings[1] / max(timings[4], 1e-9))
-    return rows, speedups, all_certified
 
 
 def _domination_rows() -> tuple[list[list], bool, bool]:
@@ -133,48 +86,26 @@ def _domination_rows() -> tuple[list[list], bool, bool]:
 
 
 def run_balanced_benchmark() -> tuple[list[list], dict]:
-    scaling_rows, speedups, cert_a = _scaling_rows()
-    domination_rows, dominated, cert_b = _domination_rows()
-    median_speedup = statistics.median(speedups) if speedups else 0.0
-    cores = os.cpu_count() or 1
-    scaling_enforced = scale() >= 0.25 and cores >= 4
-    extra = {
-        "median_speedup_4_workers": round(median_speedup, 3),
-        "speedups": [round(s, 3) for s in speedups],
-        "scaling_gate_enforced": scaling_enforced,
-        "scaling_gate_pass": median_speedup >= 1.8,
-        "width_domination": dominated,
-        "all_certified": cert_a and cert_b,
-        "cpu_cores": cores,
-    }
-    return scaling_rows + domination_rows, extra
+    rows, dominated, certified = _domination_rows()
+    extra = {"width_domination": dominated, "all_certified": certified}
+    return rows, extra
 
 
 def _report(rows: list[list], extra: dict) -> None:
     report(
         "balanced",
-        "Balanced-separator splitting: 4-worker scaling and width "
-        "domination vs the sequential portfolio",
-        ["gate", "instance", "run", "width", "steals/splits", "seconds"],
+        "Balanced-separator splitting: width domination vs the "
+        "sequential portfolio",
+        ["gate", "instance", "run", "width", "splits", "seconds"],
         rows,
         extra=extra,
     )
-    gate = (
-        "enforced" if extra["scaling_gate_enforced"]
-        else f"report-only ({extra['cpu_cores']} cores at this scale)"
-    )
-    print(f"median 4-worker speedup: {extra['median_speedup_4_workers']}x "
-          f"({gate})")
     print(f"width domination: {extra['width_domination']}")
     print(f"all decompositions certified: {extra['all_certified']}")
 
 
 def _gates_pass(extra: dict) -> bool:
-    if not extra["all_certified"] or not extra["width_domination"]:
-        return False
-    if extra["scaling_gate_enforced"] and not extra["scaling_gate_pass"]:
-        return False
-    return True
+    return extra["all_certified"] and extra["width_domination"]
 
 
 def test_balanced_benchmark(benchmark):
@@ -184,8 +115,6 @@ def test_balanced_benchmark(benchmark):
     _report(rows, extra)
     assert extra["all_certified"]
     assert extra["width_domination"]
-    if extra["scaling_gate_enforced"]:
-        assert extra["scaling_gate_pass"]
 
 
 if __name__ == "__main__":

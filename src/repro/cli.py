@@ -8,7 +8,7 @@ Usage::
     python -m repro fhw  <instance-or-file> [--budget SECONDS] [--ga]
     python -m repro hw   <instance-or-file> [--backend optk|detk|cdcl]
     python -m repro portfolio <instance-or-file> [--jobs N] [--budget S]
-    python -m repro balanced <instance-or-file> [--workers N] [--budget S]
+    python -m repro balanced <instance-or-file> [--budget S] [--deterministic]
     python -m repro decompose <instance-or-file> [--output FILE]
     python -m repro fuzz [--seed N] [--cases N] [--replay FILE]
     python -m repro serve [--port N] [--cache-size N] [--budget S]
@@ -237,9 +237,8 @@ def cmd_balanced(args: argparse.Namespace) -> int:
         result = balanced_ghw(
             structure,
             BalancedConfig(
-                workers=args.workers,
                 deterministic=args.deterministic,
-                max_seconds=None if args.deterministic else args.budget,
+                max_seconds=args.budget,
                 seed=args.seed,
             ),
             metrics=metrics,
@@ -247,12 +246,9 @@ def cmd_balanced(args: argparse.Namespace) -> int:
         )
     finally:
         tracer.close()
-    mode = (
-        f"{result.workers} workers" if result.workers else "sequential"
-    )
     qualifier = "exact, " if result.exact else ""
     print(f"ghw {'=' if result.exact else '<='} {result.width} "
-          f"(balanced, {qualifier}certified, {mode}, "
+          f"(balanced, {qualifier}certified, "
           f"{result.elapsed_seconds:.2f}s)")
     print(f"  min-fill start: {result.initial_upper}, "
           f"lower bound: {result.lower_bound}, "
@@ -541,24 +537,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "balanced",
-        help="certified ghw by balanced-separator splitting over a "
-        "work-stealing worker pool",
+        help="certified ghw by balanced-separator splitting",
     )
     p.add_argument("instance", help="instance name or file path")
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker processes for the subproblem pool "
-                   "(0 = sequential in-process; default 0)")
     p.add_argument("--budget", type=float, default=30.0,
                    help="time budget in seconds (default 30; ignored "
                    "with --deterministic)")
     p.add_argument("--deterministic", action="store_true",
-                   help="fixed candidate order and subproblem budget "
-                   "instead of wall clock — widths independent of "
-                   "worker count")
+                   help="subproblem budget instead of wall clock — "
+                   "widths independent of machine speed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", metavar="FILE", default=None,
-                   help="write split/steal/stitch events as JSONL "
-                   "telemetry (merged across workers)")
+                   help="write split/stitch events as JSONL telemetry")
     p.add_argument("--metrics", action="store_true",
                    help="print the run's parallel.* counters")
     p.set_defaults(func=cmd_balanced)

@@ -1,11 +1,10 @@
-"""Log-depth parallel decomposition via balanced separators.
+"""Log-depth decomposition via balanced separators.
 
 `balanced` splits instances on balanced separators (arXiv:2104.13793)
 instead of racing whole-instance solvers: components become independent
-subproblems fanned out over a persistent worker pool with work-stealing
-and depth-first priority, and the stitched result is certified by
-``repro.verify.check_ghd`` before being reported.  See DESIGN.md
-"Parallel decomposition".
+subproblems of an in-process recursion, and the stitched result is
+certified by ``repro.verify.check_ghd`` before being reported.  See
+DESIGN.md "Parallel decomposition".
 """
 
 from .balanced import (
@@ -19,7 +18,6 @@ from .balanced import (
     balanced_ghw,
     decide_balanced_ghw,
 )
-from .pool import WorkerPool, pool_decide
 
 __all__ = [
     "BALANCE_LADDER",
@@ -29,8 +27,6 @@ __all__ = [
     "BalancedCore",
     "BalancedError",
     "BalancedResult",
-    "WorkerPool",
     "balanced_ghw",
     "decide_balanced_ghw",
-    "pool_decide",
 ]

@@ -6,9 +6,9 @@ BalancedGo line of work) observe that any hypergraph of ghw ≤ k has a
 *balanced* separator covered by ≤ k edges: a bag of an optimal GHD
 whose removal splits the instance into components of at most half the
 (live) vertices.  Splitting on balanced separators therefore loses no
-width, and bounds the recursion depth by O(log n) — which is what makes
-the components independent subproblems worth fanning out over a worker
-pool (`repro.parallel.pool`).
+width, and bounds the recursion depth by O(log n).  The recursion runs
+in process; the components it splits off are independent subproblems,
+solved one after another.
 
 The recursion mirrors det-k-decomp's subproblem scheme
 (``decompose(C, Conn)``: component edges ``C`` hanging below a bag that
@@ -85,19 +85,14 @@ class BalancedCertificationError(BalancedError):
 
 @dataclass
 class BalancedConfig:
-    """Knobs for the balanced-separator search, picklable for the
-    worker-pool process boundary.
+    """Knobs for the balanced-separator search.
 
-    ``workers = 0`` runs the whole recursion in-process (the mode the
-    portfolio backend uses — portfolio workers are daemonic and cannot
-    spawn children).  ``workers >= 1`` fans subproblems out over a
-    persistent pool (`repro.parallel.pool`).
+    The recursion always runs in process: ``workers`` accepts only 0
+    and any other value raises ``ValueError``.
 
-    ``deterministic`` fixes split tie-breaks: scan shards are always
-    collected in full and the lexicographically smallest acceptable
-    candidate (lowest global candidate index) wins, so widths are
-    reproducible for any worker count.  Without it a pool run commits
-    the first acceptable candidate to arrive.
+    ``deterministic`` ignores ``max_seconds`` and bounds the run by
+    ``max_subproblems`` alone, so the result does not depend on the
+    machine's speed.  The candidate order is fixed either way.
 
     ``max_candidates`` caps the systematic ≤ k-edge enumeration per
     subproblem and rung (the combination stream explodes on large
@@ -114,17 +109,18 @@ class BalancedConfig:
     exact_leaf_edges: int = 24
     max_subproblems: int = 100_000
     max_seconds: float | None = None
-    # Pool tuning: subproblems at most this many edges ship to a worker
-    # as one sealed "solve" task; bigger ones are split parent-side with
-    # the candidate scan sharded across the pool.
-    task_edges: int = 10
-    scan_shards: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.workers != 0:
+            raise ValueError(
+                f"workers={self.workers}: the balanced recursion runs in "
+                "process; workers must be 0"
+            )
 
 
 class _Node:
-    """One node of the decomposition under construction (picklable —
-    worker pools ship whole subtrees home)."""
+    """One node of the decomposition under construction."""
 
     __slots__ = ("chi", "lam", "children")
 
@@ -133,21 +129,14 @@ class _Node:
         self.lam = lam
         self.children = children
 
-    def __getstate__(self):
-        return (self.chi, self.lam, self.children)
-
-    def __setstate__(self, state):
-        self.chi, self.lam, self.children = state
-
 
 @dataclass(frozen=True)
 class Split:
     """An accepted balanced split of one subproblem.
 
     ``index`` is the candidate's position in the subproblem's
-    deterministic enumeration order — the tie-break key of
-    ``deterministic`` mode.  ``children`` are ``(component, connector)``
-    subproblems, deterministically ordered.  ``balance`` is
+    deterministic enumeration order.  ``children`` are ``(component,
+    connector)`` subproblems, deterministically ordered.  ``balance`` is
     ``(largest component's live vertices, live total)``.
     """
 
@@ -179,7 +168,6 @@ class BalancedResult:
     attempts: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-    workers: int = 0
 
 
 def as_hypergraph(structure: Graph | Hypergraph) -> Hypergraph:
@@ -194,9 +182,7 @@ class BalancedCore:
     """The sequential balanced-separator recursion.
 
     One instance per (hypergraph, config); reused across the k-ladder
-    so the cover cache and the subproblem memo warm up.  The worker
-    pool runs one core per worker process (``solve``/``scan`` tasks)
-    and one in the parent (mask bookkeeping, stitching).
+    so the cover cache and the subproblem memo warm up.
     """
 
     def __init__(
@@ -372,20 +358,14 @@ class BalancedCore:
         k: int,
         rung: Fraction,
         failed: set,
-        shard: int = 0,
-        shards: int = 1,
     ):
         """Acceptable splits at this rung, in deterministic candidate
-        order.  ``shard``/``shards`` slice the stream by candidate index
-        for the worker pool's scan tasks (every shard enumerates the
-        same indexed stream, so indices agree across processes)."""
+        order."""
         seen: set = set()
         checked = 0
         for index, lam, lam_vmask in self._candidate_lams(
             component, connector_mask, scope, k
         ):
-            if shards > 1 and index % shards != shard:
-                continue
             checked += 1
             if checked % 32 == 0:
                 # Candidate streams on large subproblems are where the
@@ -405,8 +385,7 @@ class BalancedCore:
     def _candidate_lams(self, component, connector_mask: int, scope: int, k: int):
         """The indexed candidate stream: heuristic BFS-layer separators
         first, then the capped systematic ≤ k-edge enumeration.  The
-        indexing is a pure function of the subproblem, never of the
-        caller's shard — determinism across the pool depends on it."""
+        indexing is a pure function of the subproblem."""
         index = 0
         emitted: set = set()
         for lam in self._heuristic_lams(component, connector_mask, scope, k):
@@ -688,10 +667,6 @@ def balanced_ghw(
     external upper bounds are consumed to skip useless rungs.  Stops at
     the first k the split search cannot witness, on budget exhaustion,
     or at the (external) lower bound.
-
-    With ``config.workers >= 1`` the recursion fans out over a
-    persistent worker pool (`repro.parallel.pool`); widths are identical
-    to the sequential path in ``deterministic`` mode.
     """
     config = config if config is not None else BalancedConfig()
     metrics = metrics if metrics is not None else Metrics()
@@ -714,8 +689,7 @@ def balanced_ghw(
         )
 
     with tracer.span("balanced", edges=hypergraph.num_edges,
-                     vertices=hypergraph.num_vertices,
-                     workers=config.workers):
+                     vertices=hypergraph.num_vertices):
         ordering = min_fill_ordering(hypergraph)
         incumbent = ghd_from_ordering(hypergraph, ordering)
         width = incumbent.ghw_width
@@ -729,50 +703,31 @@ def balanced_ghw(
             if external is not None and int(external) == external:
                 lower = max(lower, int(external))
         attempts: list = []
-        if config.max_seconds is not None:
-            deadline = start + config.max_seconds
-        else:
-            deadline = None
-
-        driver = None
-        if config.workers >= 1:
-            from .pool import PoolDriver
-
-            driver = PoolDriver(hypergraph, config, metrics, tracer)
-            driver.deadline = deadline
-            core = driver.core
-        else:
-            core = BalancedCore(hypergraph, config, metrics, tracer)
-        core.deadline = deadline
-        try:
-            k = width - 1
-            while k >= lower:
-                if hooks is not None and hooks.poll_upper is not None:
-                    external = hooks.poll_upper()
-                    if external is not None and external <= k:
-                        # Someone else already witnessed k — only
-                        # strictly better rungs are worth our time.
-                        k = int(external) - 1
-                        if k < lower:
-                            break
-                try:
-                    if driver is not None:
-                        ghd = driver.decide(k)
-                    else:
-                        ghd = decide_balanced_ghw(hypergraph, k, core=core)
-                except BalancedBudgetExceeded:
-                    attempts.append((k, False))
-                    break
-                attempts.append((k, ghd is not None))
-                if ghd is None:
-                    break
-                incumbent, width = ghd, k
-                if hooks is not None and hooks.publish_upper is not None:
-                    hooks.publish_upper(width)
-                k -= 1
-        finally:
-            if driver is not None:
-                driver.close()
+        core = BalancedCore(hypergraph, config, metrics, tracer)
+        if config.max_seconds is not None and not config.deterministic:
+            core.deadline = start + config.max_seconds
+        k = width - 1
+        while k >= lower:
+            if hooks is not None and hooks.poll_upper is not None:
+                external = hooks.poll_upper()
+                if external is not None and external <= k:
+                    # Someone else already witnessed k — only strictly
+                    # better rungs are worth our time.
+                    k = int(external) - 1
+                    if k < lower:
+                        break
+            try:
+                ghd = decide_balanced_ghw(hypergraph, k, core=core)
+            except BalancedBudgetExceeded:
+                attempts.append((k, False))
+                break
+            attempts.append((k, ghd is not None))
+            if ghd is None:
+                break
+            incumbent, width = ghd, k
+            if hooks is not None and hooks.publish_upper is not None:
+                hooks.publish_upper(width)
+            k -= 1
 
         stats = {
             name: value
@@ -784,7 +739,7 @@ def balanced_ghw(
         }
         tracer.metric("balanced_finish", width=width,
                       initial_upper=initial_upper,
-                      attempts=len(attempts), workers=config.workers)
+                      attempts=len(attempts))
         return BalancedResult(
             width=width,
             decomposition=incumbent,
@@ -795,5 +750,4 @@ def balanced_ghw(
             attempts=attempts,
             stats=stats,
             elapsed_seconds=time.monotonic() - start,
-            workers=config.workers,
         )

@@ -12,13 +12,6 @@ The ``min-fill`` backend is the portfolio's seed: it computes the greedy
 heuristic bounds in milliseconds and publishes them, so the expensive
 searches start with a tight incumbent no matter which worker wins the
 scheduling race.
-
-The ``crash`` and ``stall`` backends exist for failure-injection tests
-only — ``crash`` raises immediately (the runner's worker-failure path),
-``stall`` publishes a trivial bound to the shared channel and hangs
-until the grace period terminates it (the deadline-expiry bracket
-path); same pattern as ``tests/test_failure_injection.py`` elsewhere in
-the repo.
 """
 
 from __future__ import annotations
@@ -399,14 +392,12 @@ def _run_minfill(
 
 
 def _run_balanced_ghw(structure, config: BackendConfig, hooks: BoundHooks):
-    """Balanced-separator splitting (`repro.parallel`), sequential core.
+    """Balanced-separator splitting (`repro.parallel`).
 
-    The portfolio's workers are daemon processes and cannot spawn a
-    worker pool of their own, so inside the portfolio the backend runs
-    the single-process recursion; the pooled path is the standalone
-    ``python -m repro balanced`` entry point.  Every certified incumbent
-    is published through the shared channel and external upper bounds
-    are consumed to skip dead rungs of the k-ladder.
+    The recursion runs inside this backend's worker process, as it does
+    in ``python -m repro balanced``.  Every certified incumbent is
+    published through the shared channel and external upper bounds are
+    consumed to skip dead rungs of the k-ladder.
 
     ``ordering`` is None: the witness is a stitched GHD, not an
     elimination ordering — which is why this backend is not in
@@ -418,9 +409,8 @@ def _run_balanced_ghw(structure, config: BackendConfig, hooks: BoundHooks):
     result = balanced_ghw(
         _as_hypergraph(structure),
         BalancedConfig(
-            workers=0,
             deterministic=config.deterministic,
-            max_seconds=None if config.deterministic else config.max_seconds,
+            max_seconds=config.max_seconds,
             seed=config.seed,
         ),
         hooks=hooks,
@@ -435,37 +425,12 @@ def _run_balanced_ghw(structure, config: BackendConfig, hooks: BoundHooks):
     )
 
 
-def _run_crash(structure, config: BackendConfig, hooks: BoundHooks):
-    raise RuntimeError("injected portfolio worker failure (test backend)")
-
-
-def _run_stall(structure, config: BackendConfig, hooks: BoundHooks):
-    """Failure-injection backend: publish a sound trivial upper bound to
-    the shared channel, then hang until the runner's grace period kills
-    the worker — the deadline-expiry path of the graceful-degradation
-    contract (the bracket must survive in the channel even though no
-    report ever comes home).
-
-    ``num_vertices`` is a sound upper bound for every metric: tw ≤ n-1,
-    and ghw/fhw bags of size ≤ n are covered by ≤ n hyperedges.
-    """
-    import time as _time
-
-    n = structure.num_vertices
-    if hooks.publish_upper is not None:
-        hooks.publish_upper(max(n, 0))
-    if hooks.publish_lower is not None:
-        hooks.publish_lower(0)
-    while True:  # pragma: no cover — terminated by the runner
-        _time.sleep(0.05)
-
-
 @dataclass(frozen=True)
 class BackendSpec:
     """A named backend: which metric it bounds and how to run it."""
 
     name: str
-    kind: str  # "tw" | "ghw" | "fhw" | "any"
+    kind: str  # "tw" | "ghw" | "fhw" | "hw"
     run: Callable
 
 
@@ -499,8 +464,6 @@ BACKENDS: dict[str, BackendSpec] = {
             "min-fill-hw", "hw",
             partial(_run_minfill, "min-fill-hw", "hw", _minfill_hw_bounds),
         ),
-        BackendSpec("crash", "any", _run_crash),
-        BackendSpec("stall", "any", _run_stall),
     )
 }
 
@@ -525,7 +488,7 @@ def resolve_backends(
             raise ValueError(
                 f"unknown backend {name!r} (known: {sorted(BACKENDS)})"
             )
-        if spec.kind not in (kind, "any"):
+        if spec.kind != kind:
             raise ValueError(
                 f"backend {name!r} computes {spec.kind}, not {kind}"
             )

@@ -57,11 +57,10 @@ class PortfolioError(RuntimeError):
 def shutdown_workers(processes, queues=(), grace: float = 5.0) -> None:
     """Terminate-and-join worker processes and tear their queues down.
 
-    The shared teardown of the wave runner *and* the persistent
-    subproblem pool (`repro.parallel.pool`): terminate every process
-    still alive, join with a grace period, kill the ones that ignore
-    SIGTERM, then close each queue and cancel its feeder thread so the
-    parent never blocks on a dead child's buffer.
+    The wave runner's teardown (the repo's only process stack):
+    terminate every process still alive, join with a grace period, kill
+    the ones that ignore SIGTERM, then close each queue and cancel its
+    feeder thread so the parent never blocks on a dead child's buffer.
 
     Idempotent and interrupt-safe by construction — every step
     tolerates processes that are already dead (or were never started)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -88,3 +89,57 @@ def random_graphs(count: int, max_n: int = 9, seed: int = 0):
         m = rng.randint(0, n * (n - 1) // 2)
         out.append(random_gnm_graph(n, m, seed=seed * 1000 + trial))
     return out
+
+
+# ----------------------------------------------------------------------
+# Fault-injection portfolio backends
+# ----------------------------------------------------------------------
+
+class _AnyMetric(str):
+    """A backend kind equal to every metric: one fault backend serves
+    tw, ghw, fhw and hw races alike."""
+
+    def __eq__(self, other):
+        return isinstance(other, str)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = str.__hash__
+
+
+def _crash_backend(structure, config, hooks):
+    """Raise at once: the runner's worker-failure path."""
+    raise RuntimeError("injected portfolio worker failure (test backend)")
+
+
+def _stall_backend(structure, config, hooks):
+    """Publish a sound trivial bracket to the shared channel, then hang
+    until the runner's grace period kills the worker: the deadline-expiry
+    path, where the bracket must survive in the channel although no
+    report ever comes home.
+
+    ``num_vertices`` is a sound upper bound for every metric: tw <= n-1,
+    and ghw/fhw bags of size <= n are covered by <= n hyperedges.
+    """
+    if hooks.publish_upper is not None:
+        hooks.publish_upper(max(structure.num_vertices, 0))
+    if hooks.publish_lower is not None:
+        hooks.publish_lower(0)
+    while True:  # pragma: no cover — terminated by the runner
+        time.sleep(0.05)
+
+
+@pytest.fixture
+def fault_backends(monkeypatch):
+    """Register the ``crash`` and ``stall`` backends for one test.
+
+    Portfolio workers look their backend up by name in ``BACKENDS``;
+    forked workers inherit the patched registry.
+    """
+    from repro.portfolio.backends import BACKENDS, BackendSpec
+
+    for name, run in (("crash", _crash_backend), ("stall", _stall_backend)):
+        monkeypatch.setitem(
+            BACKENDS, name, BackendSpec(name, _AnyMetric("every"), run)
+        )

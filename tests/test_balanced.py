@@ -1,11 +1,7 @@
-"""Tests for the balanced-separator parallel decomposition
-(``repro.parallel``): golden widths, split invariants (hypothesis),
-cross-component cache sharing, worker-pool determinism and teardown.
+"""Tests for the balanced-separator decomposition (``repro.parallel``):
+golden and pinned results, split invariants (hypothesis),
+cross-component cache sharing, trace events and entry points.
 """
-
-import multiprocessing
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,17 +18,8 @@ from repro.parallel import (
     decide_balanced_ghw,
 )
 from repro.parallel.balanced import UNBALANCED_RUNG, as_hypergraph
-from repro.parallel.pool import PoolDriver, WorkerPool
 from repro.telemetry import MemoryTracer, Metrics
 from repro.verify import check_ghd
-
-
-def _balanced_worker_children():
-    """Live child processes that belong to a balanced worker pool."""
-    return [
-        p for p in multiprocessing.active_children()
-        if (p.name or "").startswith("balanced-")
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -84,6 +71,56 @@ def test_balanced_matches_golden_ghw(name, width):
     assert result.width == width
     assert result.certified
     assert not check_ghd(result.decomposition, hg, claimed_width=width)
+
+
+# (width, attempts, parallel.subproblems, parallel.splits) of the
+# deterministic run, recorded before the subproblem pool was removed:
+# the in-process recursion must reproduce every search tree exactly.
+PINNED_BALANCED = {
+    "grid2d_4": (2, [(1, False)], 9, 10),
+    "grid2d_6": (3, [(3, True), (2, False)], 185, 709),
+    "adder_5": (2, [(1, False)], 33, 59),
+    "clique_6": (3, [(2, False)], 51, 750),
+    "fano": (3, [(2, False)], 29, 70),
+    "bridge_10": (2, [(1, False)], 78, 114),
+}
+
+
+def _pinned_view(result):
+    return (
+        result.width,
+        result.attempts,
+        result.stats["parallel.subproblems"],
+        result.stats["parallel.splits"],
+    )
+
+
+@pytest.mark.parametrize("config", [
+    BalancedConfig(deterministic=True),
+    # perfbench's ``solve`` workload builds exactly this config.
+    BalancedConfig(workers=0, deterministic=True),
+], ids=["deterministic", "perfbench-solve"])
+@pytest.mark.parametrize("name", sorted(PINNED_BALANCED))
+def test_balanced_deterministic_run_is_pinned(name, config):
+    hg = as_hypergraph(get_instance(name).build())
+    result = balanced_ghw(hg, config)
+    assert _pinned_view(result) == PINNED_BALANCED[name]
+    assert not check_ghd(result.decomposition, hg, claimed_width=result.width)
+
+
+def test_workers_other_than_zero_rejected():
+    with pytest.raises(ValueError, match="in process"):
+        BalancedConfig(workers=1)
+
+
+def test_deterministic_ignores_max_seconds():
+    """A deterministic run is bounded by ``max_subproblems`` alone: a
+    wall-clock budget that has already run out changes nothing."""
+    hg = as_hypergraph(get_instance("grid2d_6").build())
+    result = balanced_ghw(
+        hg, BalancedConfig(deterministic=True, max_seconds=0.0)
+    )
+    assert _pinned_view(result) == PINNED_BALANCED["grid2d_6"]
 
 
 def test_balanced_queen5_5_is_exactly_ten():
@@ -238,23 +275,10 @@ class TestComponentCache:
 
 
 # ----------------------------------------------------------------------
-# Worker pool: determinism, events, teardown (satellite 2)
+# Trace events
 # ----------------------------------------------------------------------
 
-class TestWorkerPool:
-    def test_pool_width_matches_sequential_deterministic(self):
-        hg = as_hypergraph(get_instance("grid2d_4").build())
-        sequential = balanced_ghw(hg, BalancedConfig(deterministic=True))
-        pooled = balanced_ghw(
-            hg, BalancedConfig(workers=2, deterministic=True)
-        )
-        assert pooled.width == sequential.width
-        assert pooled.attempts == sequential.attempts
-        assert not check_ghd(
-            pooled.decomposition, hg, claimed_width=pooled.width
-        )
-        assert not _balanced_worker_children()
-
+class TestTraceEvents:
     def test_split_and_stitch_events_are_traced(self):
         hg = as_hypergraph(get_instance("grid2d_6").build())
         tracer = MemoryTracer()
@@ -266,54 +290,6 @@ class TestWorkerPool:
         assert "stitch" in kinds
         assert result.stats["parallel.splits"] >= 1
         assert result.stats["parallel.stitches"] >= 1
-
-    def test_interrupt_mid_split_leaks_no_processes(self):
-        """The regression the shutdown refactor exists for: tearing a
-        pool down while solve/scan tasks are still in flight must kill
-        every worker (terminate/join in ``finally``), not orphan them."""
-        hg = as_hypergraph(get_instance("grid2d_6").build())
-        driver = PoolDriver(hg, BalancedConfig(workers=2), Metrics())
-        try:
-            worker = threading.Thread(
-                target=lambda: self._swallow(driver.decide, 2),
-                daemon=True,
-            )
-            worker.start()
-            deadline = time.monotonic() + 10.0
-            while (
-                driver.pool.c_tasks.value == 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            assert driver.pool.c_tasks.value > 0, "no task ever started"
-        finally:
-            driver.close()  # the interrupt: teardown mid-flight
-        driver.close()  # idempotent — a second call is a no-op
-        deadline = time.monotonic() + 10.0
-        while _balanced_worker_children() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not _balanced_worker_children()
-
-    @staticmethod
-    def _swallow(fn, *args):
-        try:
-            fn(*args)
-        except Exception:  # noqa: BLE001 — torn-down pool raises; fine
-            pass
-
-    def test_shutdown_fails_inflight_futures(self):
-        hg = as_hypergraph(get_instance("grid2d_6").build())
-        pool = WorkerPool(hg, BalancedConfig(workers=1), Metrics())
-        core = BalancedCore(hg)
-        (component, _), *_ = core.top_components()
-        future = pool.submit(
-            "solve", (component, frozenset(), 3, None), depth=0, origin=0
-        )
-        pool.shutdown()
-        pool.shutdown()  # idempotent
-        with pytest.raises(Exception):
-            future.result(timeout=5.0)
-        assert not _balanced_worker_children()
 
 
 # ----------------------------------------------------------------------
@@ -362,18 +338,17 @@ class TestEntryPoints:
         assert "ghw" in out
         assert "certified" in out
 
-    def test_cli_balanced_workers(self, capsys):
+    def test_cli_balanced_metrics(self, capsys):
         from repro.cli import main
 
         code = main([
-            "balanced", "grid2d_4", "--workers", "2",
-            "--deterministic", "--metrics",
+            "balanced", "grid2d_4", "--deterministic", "--metrics",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "2 workers" in out
-        assert "parallel.subproblems" in out
-        assert not _balanced_worker_children()
+        assert "ghw <= 2" in out
+        assert "parallel.subproblems: 9" in out
+        assert "parallel.splits: 10" in out
 
     def test_empty_and_trivial_instances(self):
         empty = Hypergraph()

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,7 @@ class TestCommands:
         assert "2 backends" in out
         assert "bound timeline:" in out
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_portfolio_crashing_backend_reported(self, capsys):
         assert main([
             "portfolio", "myciel3",
@@ -106,6 +110,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "treewidth = 5" in out
         assert "error:" in out
+
+    def test_fault_backends_are_not_registered(self):
+        """``stall`` exists only as a test fixture: from the shell it is
+        an unknown backend, rejected before any worker starts."""
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "portfolio", "myciel3",
+             "--backends", "stall"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode != 0
+        assert "unknown backend" in done.stderr
 
     def test_portfolio_unknown_backend(self, capsys):
         # Solver errors surface as a one-line stderr message and a

@@ -182,12 +182,14 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="computes tw, not ghw"):
             resolve_backends(["astar-tw"], "ghw")
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_crash_backend_matches_any_metric(self):
         assert resolve_backends(["crash"], "tw")[0] is BACKENDS["crash"]
         assert resolve_backends(["crash"], "ghw")[0] is BACKENDS["crash"]
 
 
 class TestBackendReports:
+    @pytest.mark.usefixtures("fault_backends")
     def test_every_report_carries_worker_wall_time(self):
         # On a cycle min-fill is exact and A*-tw closes on its initial
         # bounds without expanding a node; both still took time.
@@ -318,6 +320,7 @@ class TestPortfolioLive:
         assert result.exact
         assert result.width == MYCIEL3_TW
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_crashing_worker_does_not_sink_the_race(self):
         result = run_portfolio(
             get_instance("myciel3").build(),
@@ -331,6 +334,7 @@ class TestPortfolioLive:
         assert result.width == MYCIEL3_TW
         assert result.best_backend == "bb-tw"
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_all_workers_failing_raises(self):
         with pytest.raises(PortfolioError, match="every backend failed"):
             run_portfolio(
@@ -351,6 +355,7 @@ class TestDeadlineBracket:
     spurious PortfolioError (regression: the aggregator used to raise
     when every report came back unfinished)."""
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_stalled_race_returns_channel_bracket(self):
         instance = get_instance("myciel3").build()
         result = run_portfolio(
@@ -368,6 +373,7 @@ class TestDeadlineBracket:
         # The hung worker was grace-killed, not awaited to completion.
         assert not multiprocessing.active_children()
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_caller_owned_channel_sees_live_bounds(self):
         shared = SharedBounds(multiprocessing.get_context())
         instance = get_instance("myciel3").build()

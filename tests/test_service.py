@@ -303,6 +303,7 @@ class TestFaultInjection:
         run(main())
         assert crashes["n"] == 1
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_portfolio_crash_backend_reports_not_traceback(self):
         def crashing_portfolio(structure, metric, budget, shared, config):
             result = run_portfolio(
