@@ -60,8 +60,11 @@ def git_sha() -> str:
     if out.returncode != 0:
         return "unknown"
     sha = out.stdout.strip()
+    # The result files are this harness's own output and are tracked:
+    # rewriting them must not mark the run as coming from a dirty tree.
     if subprocess.run(
-        ["git", "diff", "--quiet", "HEAD"],
+        ["git", "diff", "--quiet", "HEAD", "--",
+         ":(top)", ":(top,exclude)benchmarks/results"],
         cwd=pathlib.Path(__file__).parent,
         capture_output=True,
         timeout=10,
