@@ -59,7 +59,6 @@ def _domination_rows() -> tuple[list[list], bool, bool]:
             BalancedConfig(
                 deterministic=True,
                 max_subproblems=int(4000 * max(scale(), 0.05)) or 200,
-                seed=bench_seed(),
             ),
         )
         all_certified &= _certified(balanced, hypergraph)

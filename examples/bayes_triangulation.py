@@ -23,6 +23,7 @@ from repro.csp import junction_tree_weight, random_bayesian_network
 from repro.decomposition import bucket_elimination, ordering_width
 from repro.decomposition.render import summarize_decomposition
 from repro.genetic import GAParameters, ga_treewidth, ga_triangulation
+from repro.verify import check_td
 
 
 def main() -> None:
@@ -57,7 +58,7 @@ def main() -> None:
     print(f"  weight = {by_weight.best_fitness:.2f}")
 
     td = bucket_elimination(moral, by_weight.best_individual)
-    assert td.is_valid(moral)
+    assert not check_td(td, moral)
     print(f"\njunction-tree skeleton: {summarize_decomposition(td)}")
 
 

@@ -29,6 +29,7 @@ from repro.genetic import (
 from repro.instances import get_instance
 from repro.search import SearchBudget, astar_ghw, branch_and_bound_ghw
 from repro.setcover import exact_set_cover
+from repro.verify import check_ghd
 
 
 def main() -> None:
@@ -79,7 +80,7 @@ def main() -> None:
     best = bb if bb.upper_bound <= astar.upper_bound else astar
     ghd = ghd_from_ordering(hypergraph, best.ordering,
                             cover_function=exact_set_cover)
-    assert ghd.is_valid(hypergraph)
+    assert not check_ghd(ghd, hypergraph)
     print(f"witness GHD verified: width {ghd.ghw_width}, "
           f"{ghd.num_nodes} nodes")
 

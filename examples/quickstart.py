@@ -23,6 +23,7 @@ from repro.decomposition import (
 )
 from repro.search import astar_treewidth, branch_and_bound_ghw
 from repro.setcover import exact_set_cover
+from repro.verify import check_ghd, check_td
 
 
 def main() -> None:
@@ -41,13 +42,13 @@ def main() -> None:
     # 3. Decompositions from the ordering --------------------------------
     td = bucket_elimination(hypergraph, ordering)
     print(f"\ntree decomposition: {td.num_nodes} bags, width {td.width}")
-    assert td.is_valid(hypergraph)
+    assert not check_td(td, hypergraph)
 
     ghd = ghd_from_ordering(hypergraph, ordering,
                             cover_function=exact_set_cover)
     print(f"GHD: width {ghd.ghw_width} "
           f"(λ-labels: {dict(ghd.covers)})")
-    assert ghd.is_valid(hypergraph)
+    assert not check_ghd(ghd, hypergraph)
 
     # 4. Exact widths -----------------------------------------------------
     tw = astar_treewidth(hypergraph)

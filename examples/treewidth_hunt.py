@@ -23,6 +23,7 @@ from repro.decomposition import bucket_elimination, ordering_width
 from repro.genetic import GAParameters, ga_treewidth
 from repro.instances import get_instance
 from repro.search import SearchBudget, astar_treewidth
+from repro.verify import check_td
 
 
 def main() -> None:
@@ -60,7 +61,7 @@ def main() -> None:
         print(f"A*-tw fixed the treewidth: {result.width} "
               f"({result.stats.nodes_expanded} nodes)")
         td = bucket_elimination(graph, result.ordering)
-        assert td.is_valid(graph) and td.width == result.width
+        assert not check_td(td, graph) and td.width == result.width
         print(f"witness tree decomposition verified "
               f"({td.num_nodes} bags)")
     else:

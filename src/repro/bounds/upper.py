@@ -80,6 +80,11 @@ def min_fill_ordering(
     # Bit-keyed, in vertex_list order, so rng tie candidates enumerate
     # exactly as the reference vertex-keyed dict would.
     fill = {b: _mask_fill_count(adj, b) for _, b in graph.vertex_bit_items()}
+    # The deterministic tie-break, ``repr`` order, as one int per bit.
+    # The stable sort keeps equal reprs in ``fill`` order, as ``min``
+    # over the candidate list would.
+    by_repr = sorted(fill, key=lambda b: repr(labels[b]))
+    rank = {b: i for i, b in enumerate(by_repr)}
     ordering: list[Vertex] = []
     while fill:
         best_fill = min(fill.values())
@@ -87,7 +92,7 @@ def min_fill_ordering(
         if rng is not None and len(candidates) > 1:
             vb = candidates[rng.randrange(len(candidates))]
         else:
-            vb = min(candidates, key=lambda b: repr(labels[b]))
+            vb = min(candidates, key=rank.__getitem__)
         ordering.append(labels[vb])
         del fill[vb]
         # Eliminate vb: clique the neighborhood, recording fill pairs.

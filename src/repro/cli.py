@@ -201,7 +201,7 @@ def cmd_fhw(args: argparse.Namespace) -> int:
         )
         if search.exact:
             # Exact claims ship with their certificate checked: rebuild
-            # the FHD from the witness ordering and re-solve its LPs.
+            # the FHD from the witness ordering and check its weights.
             certified = ""
             if search.ordering is not None and structure.num_edges:
                 fhd = fhd_from_ordering(structure, search.ordering)
@@ -239,7 +239,6 @@ def cmd_balanced(args: argparse.Namespace) -> int:
             BalancedConfig(
                 deterministic=args.deterministic,
                 max_seconds=args.budget,
-                seed=args.seed,
             ),
             metrics=metrics,
             tracer=tracer,
@@ -546,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action="store_true",
                    help="subproblem budget instead of wall clock — "
                    "widths independent of machine speed")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", metavar="FILE", default=None,
                    help="write split/stitch events as JSONL telemetry")
     p.add_argument("--metrics", action="store_true",

@@ -62,12 +62,14 @@ def solve_from_tree_decomposition(
     Raises :class:`CSPError` when ``td`` is not a valid tree
     decomposition of the CSP's constraint hypergraph.
     """
+    from ..verify.certificate import check_td
+
     hypergraph = _constrained_hypergraph(csp)
-    problems = td.violations(hypergraph)
+    problems = check_td(td, hypergraph)
     if problems:
         raise CSPError(
             "not a tree decomposition of the constraint hypergraph: "
-            + "; ".join(problems)
+            + "; ".join(p.message for p in problems)
         )
     tracing = bool(getattr(tracer, "enabled", False))
     with tracer.span(
@@ -117,11 +119,14 @@ def solve_from_ghd(
     relation is ``π_bag( ⨝ λ-relations )`` — no domain enumeration, which
     is the whole point of hypertree decompositions for databases.
     """
+    from ..verify.certificate import check_ghd
+
     hypergraph = _constrained_hypergraph(csp)
-    problems = ghd.violations(hypergraph)
+    problems = check_ghd(ghd, hypergraph)
     if problems:
         raise CSPError(
-            "not a GHD of the constraint hypergraph: " + "; ".join(problems)
+            "not a GHD of the constraint hypergraph: "
+            + "; ".join(p.message for p in problems)
         )
     tracing = bool(getattr(tracer, "enabled", False))
     with tracer.span(

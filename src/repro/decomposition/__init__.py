@@ -10,7 +10,6 @@ from .elimination import (
     ghd_from_ordering,
     ghw_ordering_width,
     ordering_width,
-    td_from_ordering,
     vertex_elimination,
 )
 from .fhd import FractionalHypertreeDecomposition, fhd_from_ordering
@@ -57,7 +56,6 @@ __all__ = [
     "ordering_width",
     "render_tree_decomposition",
     "summarize_decomposition",
-    "td_from_ordering",
     "transform_leaf_normal_form",
     "vertex_elimination",
 ]

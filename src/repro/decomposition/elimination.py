@@ -350,11 +350,3 @@ def ghd_from_ordering(
     for a, b in td.tree_edges():
         ghd.add_tree_edge(a, b)
     return ghd
-
-
-def td_from_ordering(
-    structure: Graph | Hypergraph, ordering: Sequence[Vertex]
-) -> TreeDecomposition:
-    """Alias for :func:`bucket_elimination` with a name that reads well at
-    call sites building tree decompositions."""
-    return bucket_elimination(structure, ordering)

@@ -101,7 +101,7 @@ class FractionalHypertreeDecomposition(GeneralizedHypertreeDecomposition):
         return clone
 
     # ------------------------------------------------------------------
-    # Width & validity
+    # Width
     # ------------------------------------------------------------------
 
     @property
@@ -113,13 +113,6 @@ class FractionalHypertreeDecomposition(GeneralizedHypertreeDecomposition):
             for gamma in self._weights.values()
         ]
         return as_width(max(totals, default=Fraction(0)))
-
-    def violations(self, structure) -> list[str]:
-        """FHD violations against a Hypergraph — thin wrapper over
-        :func:`repro.verify.check_fhd`."""
-        from ..verify.certificate import check_fhd
-
-        return [violation.message for violation in check_fhd(self, structure)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

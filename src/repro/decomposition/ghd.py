@@ -75,16 +75,6 @@ class GeneralizedHypertreeDecomposition(TreeDecomposition):
         """``max |λ(p)|`` over all nodes — the GHD width measure."""
         return max((len(lam) for lam in self._lambdas.values()), default=0)
 
-    def violations(self, structure) -> list[str]:
-        """Tree-decomposition violations plus the third GHD condition
-        (χ(p) ⊆ vars(λ(p))) and λ-name sanity, against a Hypergraph.
-
-        Thin wrapper over :func:`repro.verify.check_ghd`.
-        """
-        from ..verify.certificate import check_ghd
-
-        return [violation.message for violation in check_ghd(self, structure)]
-
     def is_complete(self, hypergraph: Hypergraph) -> bool:
         """Definition 14: every hyperedge has a node that both contains it
         in the bag and lists it in λ."""

@@ -12,11 +12,12 @@ itself dropped.  This is the condition that makes ``hw ≤ k`` checkable
 in polynomial time for fixed k, and the one *generalized* hypertree
 decompositions drop; consequently ``ghw(H) ≤ hw(H) ≤ tw(H) + 1``.
 
-This module provides the rooted validator plus an upper-bound
+This module provides the rooted decomposition type plus an upper-bound
 constructor: starting from bucket-elimination bags, bags are grown to a
 fixpoint that restores the descendant condition and connectedness, then
 re-covered.  The result is always a valid hypertree decomposition
-(property-tested); its width upper-bounds hw(H).
+(property-tested); its width upper-bounds hw(H).  The descendant
+condition is checked by :func:`repro.verify.certificate.check_htd`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .ghd import GeneralizedHypertreeDecomposition
 
 
 class HypertreeDecomposition(GeneralizedHypertreeDecomposition):
-    """A GHD with a distinguished root, validated against the
-    descendant condition."""
+    """A GHD with a distinguished root, which the descendant condition
+    is checked against."""
 
     def __init__(self, root: Hashable | None = None):
         super().__init__()
@@ -46,15 +47,6 @@ class HypertreeDecomposition(GeneralizedHypertreeDecomposition):
         if self.root in self._bags:
             return self.root
         return self.nodes[0]
-
-    def violations(self, structure) -> list[str]:
-        """GHD violations plus the descendant condition.
-
-        Thin wrapper over :func:`repro.verify.check_htd`.
-        """
-        from ..verify.certificate import check_htd
-
-        return [violation.message for violation in check_htd(self, structure)]
 
     def to_payload(self) -> dict:
         """A JSON-shaped dump of the decomposition (node ids, bags and
@@ -100,6 +92,7 @@ class HypertreeDecomposition(GeneralizedHypertreeDecomposition):
                     vars_here |= out[child]
             out[node] = vars_here
         return out
+
 
 def htd_from_ordering(
     hypergraph: Hypergraph, ordering
@@ -197,10 +190,8 @@ def hypertree_width_upper_bound(hypergraph: Hypergraph, ordering) -> int:
     :class:`AssertionError` if the fixpoint ever produced an invalid one
     (it cannot; the check is a guard for future edits).
     """
+    from ..verify.certificate import assert_certified
+
     htd = htd_from_ordering(hypergraph, ordering)
-    problems = htd.violations(hypergraph)
-    if problems:
-        raise AssertionError(
-            "internal error: repaired HTD is invalid: " + "; ".join(problems)
-        )
+    assert_certified(htd, hypergraph, "repaired HTD")
     return htd.ghw_width

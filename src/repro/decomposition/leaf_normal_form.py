@@ -35,11 +35,13 @@ def transform_leaf_normal_form(
     form whose every bag is contained in some bag of ``td`` (Theorem 1).
     The hyperedge-leaves are nodes named ``("leaf", edge_name)``.
     """
-    problems = td.violations(hypergraph)
+    from ..verify.certificate import check_td
+
+    problems = check_td(td, hypergraph)
     if problems:
         raise DecompositionError(
             "input is not a tree decomposition of the hypergraph: "
-            + "; ".join(problems)
+            + "; ".join(p.message for p in problems)
         )
     result = td.copy()
     # Step 2: one fresh leaf per hyperedge, attached to an original node

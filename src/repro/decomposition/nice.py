@@ -84,10 +84,13 @@ class NiceTreeDecomposition:
     ) -> "NiceTreeDecomposition":
         """Convert ``td`` (validated against ``structure`` if given)."""
         if structure is not None:
-            problems = td.violations(structure)
+            from ..verify.certificate import check_td
+
+            problems = check_td(td, structure)
             if problems:
                 raise DecompositionError(
-                    "invalid tree decomposition: " + "; ".join(problems)
+                    "invalid tree decomposition: "
+                    + "; ".join(p.message for p in problems)
                 )
         if td.num_nodes == 0:
             raise DecompositionError("cannot convert an empty decomposition")

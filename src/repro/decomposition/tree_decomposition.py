@@ -9,17 +9,16 @@ A tree decomposition of a hypergraph H is a tree whose nodes carry bags
 
 Its width is ``max |bag| - 1``; the minimum over all tree decompositions is
 the *treewidth*.  By Lemma 1 of the thesis a tree decomposition of H is
-exactly a tree decomposition of H's primal graph, so validators accept
-either a :class:`~repro.hypergraph.Graph` or a
-:class:`~repro.hypergraph.Hypergraph`.
+exactly a tree decomposition of H's primal graph, so the checker
+(:func:`repro.verify.certificate.check_td`) accepts either a
+:class:`~repro.hypergraph.Graph` or a :class:`~repro.hypergraph.Hypergraph`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 
-from ..hypergraph.graph import Graph, Vertex
-from ..hypergraph.hypergraph import Hypergraph
+from ..hypergraph.graph import Vertex
 
 
 class DecompositionError(Exception):
@@ -210,24 +209,6 @@ class TreeDecomposition:
             path.append(parents[path[-1]])
         path.reverse()
         return path
-
-    # ------------------------------------------------------------------
-    # Validity
-    # ------------------------------------------------------------------
-
-    def violations(self, structure: Graph | Hypergraph) -> list[str]:
-        """Human-readable list of tree-decomposition condition violations
-        (empty iff this is a valid tree decomposition of ``structure``).
-
-        Thin wrapper over :func:`repro.verify.check_td`, which returns
-        the same conditions as structured ``Violation`` objects.
-        """
-        from ..verify.certificate import check_td
-
-        return [violation.message for violation in check_td(self, structure)]
-
-    def is_valid(self, structure: Graph | Hypergraph) -> bool:
-        return not self.violations(structure)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TreeDecomposition(nodes={self.num_nodes}, width={self.width})"

@@ -109,7 +109,6 @@ class BalancedConfig:
     exact_leaf_edges: int = 24
     max_subproblems: int = 100_000
     max_seconds: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.workers != 0:

@@ -332,12 +332,11 @@ def _minfill_hw_bounds(hypergraph: Hypergraph, rng: random.Random):
     (ghw ≤ hw) for the lower."""
     from ..bounds.upper import min_fill_ordering
     from ..decomposition.htd import htd_from_ordering
+    from ..verify.certificate import assert_certified
 
     lb = ghw_lower_bound(hypergraph, rng)
     htd = htd_from_ordering(hypergraph, min_fill_ordering(hypergraph, rng))
-    problems = htd.violations(hypergraph)
-    if problems:  # pragma: no cover — htd_from_ordering certifies
-        raise AssertionError("min-fill hw witness invalid: " + problems[0])
+    assert_certified(htd, hypergraph, "min-fill hw witness")
     return lb, htd.ghw_width, None, htd.to_payload()
 
 
@@ -411,7 +410,6 @@ def _run_balanced_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         BalancedConfig(
             deterministic=config.deterministic,
             max_seconds=config.max_seconds,
-            seed=config.seed,
         ),
         hooks=hooks,
     )

@@ -399,14 +399,6 @@ def _component_hypergraph(
     return sub
 
 
-def _certify(htd: HypertreeDecomposition, hypergraph: Hypergraph) -> None:
-    problems = htd.violations(hypergraph)
-    if problems:
-        raise AssertionError(
-            "cdcl hw witness failed certification: " + "; ".join(problems)
-        )
-
-
 def cdcl_hypertree_width(
     hypergraph: Hypergraph,
     *,
@@ -496,7 +488,9 @@ def cdcl_hypertree_width(
                 witness.add_tree_edge(a, b)
             witness.add_tree_edge(other.effective_root(), root)
         if len(trees) > 1:
-            _certify(witness, hypergraph)
+            from ..verify.certificate import assert_certified
+
+            assert_certified(witness, hypergraph, "cdcl hw witness")
     return CdclHwResult(
         upper=upper,
         lower=lower,
@@ -526,9 +520,11 @@ def _solve_component(
     corrupt_learned: bool,
     max_clauses: int,
 ) -> CdclHwResult:
+    from ..verify.certificate import assert_certified
+
     ordering = min_fill_ordering(hypergraph)
     incumbent = htd_from_ordering(hypergraph, ordering)
-    _certify(incumbent, hypergraph)
+    assert_certified(incumbent, hypergraph, "cdcl hw witness")
     upper = incumbent.ghw_width
     lower = max(1, ghw_lower_bound(hypergraph))
     if upper <= lower:
@@ -589,7 +585,7 @@ def _solve_component(
         )
         if sat:
             witness = formula.decode()
-            _certify(witness, hypergraph)
+            assert_certified(witness, hypergraph, "cdcl hw witness")
             width = witness.ghw_width
             assert width <= k, (width, k)
             incumbent = witness

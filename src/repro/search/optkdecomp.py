@@ -200,6 +200,8 @@ def opt_k_decomp(
     Raises :class:`ValueError` for isolated vertices or ``max_width``
     below 1, mirroring :func:`~repro.search.detkdecomp.det_k_decomp`.
     """
+    from ..verify.certificate import assert_certified
+
     if max_width is not None and max_width < 1:
         raise ValueError("max_width must be at least 1")
     isolated = hypergraph.isolated_vertices()
@@ -215,7 +217,7 @@ def opt_k_decomp(
         )
     ordering = min_fill_ordering(hypergraph)
     incumbent = htd_from_ordering(hypergraph, ordering)
-    _certify(incumbent, hypergraph)
+    assert_certified(incumbent, hypergraph, "opt-k-decomp witness")
     upper = incumbent.ghw_width
     lower = max(1, ghw_lower_bound(hypergraph))
     if hooks is not None and hooks.publish_upper:
@@ -265,7 +267,7 @@ def opt_k_decomp(
         )
         if feasible:
             witness = _materialize(roots)
-            _certify(witness, hypergraph)
+            assert_certified(witness, hypergraph, "opt-k-decomp witness")
             assert witness.ghw_width == width <= k, (witness.ghw_width, k)
             incumbent = witness
             upper = width
@@ -312,11 +314,3 @@ def opt_k_hypertree_width(
         )
     return result.upper, result.decomposition
 
-
-def _certify(htd: HypertreeDecomposition, hypergraph: Hypergraph) -> None:
-    problems = htd.violations(hypergraph)
-    if problems:
-        raise AssertionError(
-            "opt-k-decomp witness failed certification: "
-            + "; ".join(problems)
-        )

@@ -11,10 +11,10 @@ Soundness rests on two gates:
 * **Verify-on-insert.**  Nothing enters the cache without its witness
   re-checked by :mod:`repro.verify`: the ordering is rebuilt into a
   decomposition of the *submitted* structure (bucket elimination for tw,
-  exact-cover GHD for ghw, rational-LP FHD for fhw) and
-  :func:`repro.verify.certify` must pass with the claimed width — a
-  doctored certificate (wrong ordering, overclaimed width) is rejected,
-  counted, and never served to anyone.
+  exact-cover GHD for ghw, rational-LP FHD for fhw; hw ships its
+  decomposition as a payload) and :func:`repro.verify.certify` must
+  pass with the claimed width — a doctored certificate (wrong ordering,
+  overclaimed width) is rejected, counted, and never served to anyone.
 * **Collision check.**  A lookup whose key matches but whose canonical
   edge list differs (hash collision, or a budget-fallback key) is
   treated as a miss, so a cached answer can never leak to a
@@ -35,6 +35,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..decomposition import (
+    HypertreeDecomposition,
     bucket_elimination,
     fhd_from_ordering,
     ghd_from_ordering,
@@ -42,7 +43,7 @@ from ..decomposition import (
 from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
 from ..setcover import exact_set_cover
-from ..verify import certify
+from ..verify.certificate import certify
 from ..widths import Width, as_width
 from .canonical import CanonicalForm
 
@@ -73,23 +74,25 @@ class CertificateRejected(ValueError):
     """The witness failed the verify-on-insert gate."""
 
 
-def build_decomposition(metric: str, structure, ordering):
-    """The witness decomposition ``ordering`` claims, per metric."""
+def build_decomposition(
+    metric: str, structure, ordering, witness: dict | None = None
+):
+    """The witness decomposition a certificate claims, per metric: the
+    one ``ordering`` builds for tw/ghw/fhw, the shipped decomposition
+    payload ``witness`` for hw.  ghw, fhw and hw need a
+    :class:`Hypergraph`."""
     if metric == "tw":
         return bucket_elimination(structure, ordering)
-    hypergraph = (
-        structure
-        if isinstance(structure, Hypergraph)
-        else Hypergraph.from_graph(structure)
-    )
     if metric == "ghw":
         # Exact covers: the greedy λ-labels could measure wider than the
         # solver's claim and spuriously flag an honest certificate.
         return ghd_from_ordering(
-            hypergraph, ordering, cover_function=exact_set_cover
+            structure, ordering, cover_function=exact_set_cover
         )
     if metric == "fhw":
-        return fhd_from_ordering(hypergraph, ordering)
+        return fhd_from_ordering(structure, ordering)
+    if metric == "hw":
+        return HypertreeDecomposition.from_payload(witness)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -105,8 +108,9 @@ def verify_witness(
 
     Orderings witness tw/ghw/fhw; hw is witnessed by a decomposition
     *payload* (``witness``, :meth:`HypertreeDecomposition.to_payload`
-    shaped) — it is rebuilt in the submitted structure's native labels
-    and put through :func:`repro.verify.check_htd`, descendant
+    shaped) in the submitted structure's native labels.  Every metric's
+    decomposition then goes through one :func:`repro.verify.certify`
+    call — for hw that is :func:`~repro.verify.check_htd`, descendant
     condition included.
 
     Any exception while rebuilding the decomposition (ordering is not a
@@ -114,26 +118,14 @@ def verify_witness(
     rejection — a malformed certificate must never crash the gate it is
     probing.
     """
+    if metric == "hw" and witness is None:
+        return ["hw certificate requires a decomposition payload"]
     try:
-        if metric == "hw":
-            from ..decomposition.htd import HypertreeDecomposition
-            from ..verify import check_htd
-
-            if witness is None:
-                return ["hw certificate requires a decomposition payload"]
-            hypergraph = (
-                structure
-                if isinstance(structure, Hypergraph)
-                else Hypergraph.from_graph(structure)
-            )
-            htd = HypertreeDecomposition.from_payload(witness)
-            return [
-                str(v)
-                for v in check_htd(
-                    htd, hypergraph, claimed_width=int(claimed_upper)
-                )
-            ]
-        decomposition = build_decomposition(metric, structure, ordering)
+        if metric != "tw" and not isinstance(structure, Hypergraph):
+            structure = Hypergraph.from_graph(structure)
+        decomposition = build_decomposition(
+            metric, structure, ordering, witness
+        )
         certificate = certify(
             decomposition, structure, claimed_width=as_width(claimed_upper)
         )

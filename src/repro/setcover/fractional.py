@@ -188,9 +188,10 @@ def fractional_set_cover(
     """Optimal fractional cover of ``bag``: ``(weight, {name: weight})``.
 
     The frozenset-path twin of ``BitCoverEngine.fractional_size`` — used
-    by the set-engine searches and by certificate re-solves.  The weight
-    map carries only the support (strictly positive weights) and is a
-    feasible optimal cover: re-checking ``sum_{e : v in e} w_e >= 1``
+    by :func:`~repro.decomposition.fhd_from_ordering` and A*-fhw, and as
+    a test oracle.  The weight map carries only the support (strictly
+    positive weights) and is a feasible optimal cover: re-checking
+    ``sum_{e : v in e} w_e >= 1``
     per bag vertex is exactly what :func:`repro.verify.check_fhd` does.
     Raises :class:`SetCoverError` when some bag vertex occurs in no
     hyperedge.

@@ -1,7 +1,7 @@
 """Decomposition certificates and the differential fuzz harness.
 
 ``certificate`` is the single source of truth for decomposition
-validity (the legacy ``violations()`` string APIs wrap it); ``fuzz``
+validity; ``fuzz``
 turns the checkers plus the solver zoo into a push-button bug finder
 with delta-debugged minimal counterexamples.
 """

@@ -18,13 +18,14 @@ the single source of truth for all of those checks:
   condition ``vars(λ(p)) ∩ χ(T_p) ⊆ χ(p)``.
 * :func:`check_fhd` — :func:`check_td` plus γ-weight sanity (exact
   non-negative rationals over known hyperedges), per-vertex fractional
-  coverage ≥ 1, and — against a width claim — an independent per-bag LP
-  re-solve that bounds any achievable γ from below.
+  coverage ≥ 1, and the γ-width against a width claim.
 
 Checkers return lists of :class:`Violation` — structured objects with a
-machine-readable ``kind``, the witnessing nodes/vertices/edges, and the
-exact human-readable message the legacy ``violations()`` string API
-produced (those methods are now thin wrappers over this module).
+machine-readable ``kind``, the witnessing nodes/vertices/edges, and a
+human-readable message.  They check the covers a decomposition carries
+and never compute one: no set cover, no LP.  That is enough for
+fractional widths too — if every bag vertex has γ-coverage ≥ 1, then γ_p
+is a feasible fractional cover of χ(p), so ρ*(χ(p)) ≤ Σγ_p ≤ the claim.
 """
 
 from __future__ import annotations
@@ -71,9 +72,7 @@ class Violation:
 
     Attributes:
         kind: machine-readable condition tag (one of :data:`ALL_KINDS`).
-        message: human-readable description — byte-identical to what the
-            legacy string-list ``violations()`` API produced, so the two
-            surfaces never drift.
+        message: human-readable description.
         nodes: decomposition nodes witnessing the violation.
         vertices: structure vertices witnessing the violation.
         edges: hyperedge names (or graph-edge labels) involved.
@@ -283,12 +282,10 @@ def check_fhd(
     Per node: every γ-weighted name is a real hyperedge, every weight is
     an exact non-negative rational (``int`` or ``Fraction`` — a float
     weight is flagged, never coerced), and every bag vertex is covered
-    with total weight at least 1.  With ``claimed_width`` two honesty
-    checks run: the measured γ-width (``max Σγ``) may not exceed the
-    claim, and — independently of the supplied weights — the exact cover
-    LP is re-solved per bag, so a claim below some bag's ρ* is an
-    overclaim even when the weights themselves were doctored to look
-    small.
+    with total weight at least 1.  With ``claimed_width`` the measured
+    γ-width (``max Σγ``) may not exceed the claim.  Feasible weights make
+    that sufficient: ρ*(χ(p)) ≤ Σγ_p for every node, so a decomposition
+    that passes at claim c has fractional width at most c.
     """
     if not isinstance(hypergraph, Hypergraph):
         raise TypeError("FHD validation requires a Hypergraph")
@@ -353,8 +350,6 @@ def check_fhd(
         measured = _fhw_measure(fhd)
         if measured > claimed:
             problems.append(_width_overclaim("γ", claimed, measured))
-        else:
-            problems.extend(_fhd_resolve_violations(fhd, hypergraph, claimed))
     return problems
 
 
@@ -374,38 +369,6 @@ def _fhw_measure(fhd) -> Width:
             if total > best:
                 best = total
     return as_width(best)
-
-
-def _fhd_resolve_violations(fhd, hypergraph, claimed) -> list[Violation]:
-    """The untrusting half of the width check: re-solve the cover LP per
-    bag.  ρ*(χ(p)) lower-bounds *any* feasible γ_p, so a claim below it
-    is an overclaim no matter what weights the certificate carries."""
-    from ..setcover.fractional import fractional_set_cover
-    from ..setcover.greedy import SetCoverError
-
-    problems: list[Violation] = []
-    checked: set[frozenset] = set()
-    for node in fhd.nodes:
-        bag = fhd.bag(node)
-        if bag in checked:
-            continue
-        checked.add(bag)
-        try:
-            lp_value, _weights = fractional_set_cover(bag, hypergraph)
-        except SetCoverError:
-            continue  # uncoverable bag — the coverage checks flag it
-        if lp_value > claimed:
-            problems.append(
-                Violation(
-                    WIDTH_OVERCLAIM,
-                    f"claimed γ-width {format_width(claimed)} but node "
-                    f"{node!r}'s bag re-solves to "
-                    f"ρ* = {format_width(as_width(lp_value))}",
-                    nodes=(node,),
-                )
-            )
-            break
-    return problems
 
 
 # ----------------------------------------------------------------------
@@ -432,6 +395,20 @@ def check_decomposition(
     if hasattr(decomposition, "covers"):
         return check_ghd(decomposition, structure, claimed_width=claimed_width)
     return check_td(decomposition, structure, claimed_width=claimed_width)
+
+
+def assert_certified(
+    decomposition, structure: Graph | Hypergraph, what: str
+) -> None:
+    """Raise :class:`AssertionError` when :func:`check_decomposition`
+    finds a violation — the guard on decompositions that are valid by
+    construction, naming the producer as ``what``."""
+    problems = check_decomposition(decomposition, structure)
+    if problems:
+        raise AssertionError(
+            f"{what} failed certification: "
+            + "; ".join(p.message for p in problems)
+        )
 
 
 def certify(

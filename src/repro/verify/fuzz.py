@@ -18,7 +18,8 @@ cross-examines everything they claim:
   below ghw.
 * **Certificates** — every witness ordering is rebuilt into a
   decomposition and pushed through :mod:`repro.verify.certificate`
-  (``check_td`` / ``check_ghd`` / ``check_htd`` with width accounting).
+  (``check_td`` / ``check_ghd`` / ``check_htd`` / ``check_fhd`` with
+  width accounting).
 
 On a failure the instance is delta-debugged: vertices then edges are
 deleted one at a time while the *same* check keeps failing, to a
@@ -47,10 +48,10 @@ from fractions import Fraction
 
 from ..bounds import min_fill_ordering
 from ..decomposition import (
+    bucket_elimination,
     fhd_from_ordering,
     ghd_from_ordering,
     ordering_width,
-    td_from_ordering,
 )
 from ..decomposition.htd import htd_from_ordering
 from ..genetic import GAParameters, ga_ghw, ga_treewidth
@@ -109,6 +110,9 @@ FAULTS: dict[str, str] = {
     "optk-descendant-forget": "an opt-k witness bag forgets a λ-vertex "
     "that reappears in the subtree below (the χ-computation bug the "
     "descendant condition exists to catch)",
+    "fhw-weight-shave": "one positive γ weight of an LP-optimal FHD bag "
+    "is set to 0 (optimality leaves some bag vertex below coverage 1, "
+    "which the checker must flag without re-solving the LP)",
 }
 
 
@@ -330,6 +334,19 @@ class _FaultInjector:
                 node, lam = max(candidates, key=lambda kv: len(kv[1]))
                 dec.set_cover(node, lam - {sorted(lam, key=repr)[0]})
                 self.applied += 1
+        elif self.fault == "fhw-weight-shave" and hasattr(
+            dec, "weight_functions"
+        ):
+            for node in sorted(dec.nodes, key=repr):
+                gamma = dec.weight_function(node)
+                positive = sorted(
+                    (name for name, w in gamma.items() if w > 0), key=repr
+                )
+                if positive:
+                    gamma[positive[0]] = 0
+                    dec.set_weights(node, gamma)
+                    self.applied += 1
+                    return
 
     def _break_connectedness(self, dec) -> None:
         """Add a vertex to a bag with no tree-neighbour holding it."""
@@ -431,7 +448,7 @@ _GA_HYPER = GAParameters(population_size=8, generations=4)
 def _certify_td(graph, result, role, fault) -> list[_Finding]:
     if result.ordering is None:
         return []
-    td = td_from_ordering(graph, result.ordering)
+    td = bucket_elimination(graph, result.ordering)
     fault.decomposition(td)
     problems = check_td(td, graph, claimed_width=result.upper_bound)
     if problems:

@@ -13,6 +13,7 @@ from repro.search import (
     det_k_decomp,
     hypertree_width,
 )
+from repro.verify import check_htd
 from tests.conftest import make_covered_hypergraph
 
 
@@ -34,14 +35,14 @@ class TestDetKDecomp:
         h = Hypergraph(edges={"e": {1, 2, 3}})
         htd = det_k_decomp(h, 1)
         assert htd is not None
-        assert htd.violations(h) == []
+        assert check_htd(htd, h) == []
         assert htd.ghw_width == 1
 
     def test_triangle_needs_two(self):
         tri = Hypergraph(edges={"a": {1, 2}, "b": {2, 3}, "c": {1, 3}})
         assert det_k_decomp(tri, 1) is None
         htd = det_k_decomp(tri, 2)
-        assert htd is not None and htd.violations(tri) == []
+        assert htd is not None and check_htd(htd, tri) == []
 
     def test_monotone_in_k(self, example_hypergraph):
         # if width k works, width k+1 works too
@@ -55,14 +56,14 @@ class TestDetKDecomp:
         h = Hypergraph(edges={"a": {1, 2}, "b": {3, 4}, "c": {4, 5}})
         hw, htd = hypertree_width(h)
         assert hw == 1
-        assert htd.violations(h) == []
+        assert check_htd(htd, h) == []
         assert htd.is_tree()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_always_valid(self, seed):
         h = make_covered_hypergraph(7, 9, seed=seed + 13000)
         hw, htd = hypertree_width(h)
-        assert htd.violations(h) == [], seed
+        assert check_htd(htd, h) == [], seed
         assert htd.ghw_width <= hw
 
 
@@ -88,7 +89,7 @@ class TestHypertreeWidthFacts:
     def test_grid2d_small(self):
         h = grid2d_hypergraph(4)
         hw, htd = hypertree_width(h)
-        assert htd.violations(h) == []
+        assert check_htd(htd, h) == []
         assert 1 <= hw <= 3
 
     @pytest.mark.parametrize("seed", range(8))
@@ -115,4 +116,4 @@ class TestHypertreeWidthFacts:
         ghw = branch_and_bound_ghw(example_hypergraph).width
         assert ghw == 2
         assert hw in (2, 3)
-        assert htd.violations(example_hypergraph) == []
+        assert check_htd(htd, example_hypergraph) == []

@@ -17,6 +17,7 @@ from repro.decomposition import (
 from repro.bounds import min_fill_ordering
 from repro.hypergraph import Graph, Hypergraph
 from repro.hypergraph.generators import grid_graph, random_gnm_graph
+from repro.verify import check_ghd, check_td
 from tests.conftest import make_covered_hypergraph
 
 
@@ -37,7 +38,7 @@ class TestCorruptedTreeDecompositions:
                 victim = sorted(bag, key=repr)[0]
                 td.set_bag(node, bag - {victim})
                 break
-        assert not td.is_valid(g)
+        assert check_td(td, g)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cutting_a_tree_edge_is_caught(self, seed):
@@ -49,7 +50,7 @@ class TestCorruptedTreeDecompositions:
         a, b = edges[0]
         td._tree[a].discard(b)  # simulate corruption below the API
         td._tree[b].discard(a)
-        assert not td.is_tree() or not td.is_valid(g)
+        assert not td.is_tree() or check_td(td, g)
 
     def test_swapping_two_bags_is_caught(self):
         g = grid_graph(3)
@@ -59,7 +60,7 @@ class TestCorruptedTreeDecompositions:
         if bag_a != bag_b:
             td.set_bag(nodes[0], bag_b)
             td.set_bag(nodes[-1], bag_a)
-            assert not td.is_valid(g)
+            assert check_td(td, g)
 
     def test_foreign_vertices_in_bags_are_tolerated_but_edges_checked(self):
         # Adding unknown vertices to a bag does not mask a missing edge.
@@ -68,7 +69,7 @@ class TestCorruptedTreeDecompositions:
         td.add_node("a", {1, 2, 99})
         td.add_node("b", {2, 42})  # edge (2,3) nowhere
         td.add_tree_edge("a", "b")
-        assert not td.is_valid(g)
+        assert check_td(td, g)
 
 
 class TestCorruptedGHDs:
@@ -81,7 +82,7 @@ class TestCorruptedGHDs:
             bag = ghd.bag(node)
             if len(cover) >= 1 and len(bag) >= 2:
                 ghd.set_cover(node, set(list(cover)[1:]))
-                if ghd.is_valid(h):
+                if not check_ghd(ghd, h):
                     continue  # removal happened to be redundant
                 return  # caught
         pytest.skip("no prunable λ-label found on this instance")
@@ -90,14 +91,14 @@ class TestCorruptedGHDs:
         ghd = ghd_from_ordering(adder5, min_fill_ordering(adder5))
         node = ghd.nodes[0]
         ghd.set_cover(node, {"ghost-edge"})
-        problems = ghd.violations(adder5)
+        problems = [p.message for p in check_ghd(ghd, adder5)]
         assert any("unknown hyperedges" in p for p in problems)
 
     def test_empty_cover_on_nonempty_bag_is_caught(self, adder5):
         ghd = ghd_from_ordering(adder5, min_fill_ordering(adder5))
         node = next(n for n in ghd.nodes if ghd.bag(n))
         ghd.set_cover(node, set())
-        assert not ghd.is_valid(adder5)
+        assert check_ghd(ghd, adder5)
 
 
 class TestLeafNormalFormRobustness:
@@ -137,7 +138,7 @@ class TestSearchResultsSurviveValidation:
         g = random_gnm_graph(8, 13, seed=seed + 12300)
         result = astar_treewidth(g)
         td = bucket_elimination(g, result.ordering)
-        assert td.is_valid(g)
+        assert not check_td(td, g)
         assert td.width <= result.width
 
     @pytest.mark.parametrize("seed", range(4))
@@ -150,5 +151,5 @@ class TestSearchResultsSurviveValidation:
         ghd = ghd_from_ordering(
             h, result.ordering, cover_function=exact_set_cover
         )
-        assert ghd.is_valid(h)
+        assert not check_ghd(ghd, h)
         assert ghd.ghw_width <= result.width

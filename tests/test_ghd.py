@@ -7,6 +7,7 @@ from repro.decomposition import (
     GeneralizedHypertreeDecomposition,
 )
 from repro.hypergraph import Hypergraph
+from repro.verify import check_ghd
 
 
 def example_ghd():
@@ -53,28 +54,28 @@ class TestStructure:
 
 class TestValidity:
     def test_valid_example(self, example_hypergraph):
-        assert example_ghd().is_valid(example_hypergraph)
+        assert not check_ghd(example_ghd(), example_hypergraph)
 
     def test_requires_hypergraph(self, triangle):
         with pytest.raises(TypeError):
-            example_ghd().violations(triangle)
+            check_ghd(example_ghd(), triangle)
 
     def test_uncovered_bag_detected(self, example_hypergraph):
         ghd = example_ghd()
         ghd.set_cover("p4", {"C1"})  # C1 does not contain x5, x6
-        problems = ghd.violations(example_hypergraph)
+        problems = [p.message for p in check_ghd(ghd, example_hypergraph)]
         assert any("not covered" in p for p in problems)
 
     def test_unknown_lambda_edge_detected(self, example_hypergraph):
         ghd = example_ghd()
         ghd.set_cover("p2", {"nope"})
-        problems = ghd.violations(example_hypergraph)
+        problems = [p.message for p in check_ghd(ghd, example_hypergraph)]
         assert any("unknown hyperedges" in p for p in problems)
 
     def test_td_conditions_still_checked(self, example_hypergraph):
         ghd = example_ghd()
         ghd.remove_node("p4")  # C2 no longer contained in any bag
-        problems = ghd.violations(example_hypergraph)
+        problems = [p.message for p in check_ghd(ghd, example_hypergraph)]
         assert any("C2" in p for p in problems)
 
 
@@ -90,7 +91,7 @@ class TestCompletion:
             bag={"x1", "x2", "x3", "x4", "x5", "x6"},
             cover={"C1", "C2", "C3"},
         )
-        assert ghd.is_valid(example_hypergraph)
+        assert not check_ghd(ghd, example_hypergraph)
         assert ghd.is_complete(example_hypergraph)  # λ lists all edges
 
         # Drop C3 from λ but keep coverage via C1/C2... C3's vertices are
@@ -113,7 +114,7 @@ class TestCompletion:
             "rest", bag={"x1", "x3", "x4", "x5", "x6"}, cover={"C2", "C3"}
         )
         ghd.add_tree_edge("a", "rest")
-        assert ghd.is_valid(example_hypergraph)
+        assert not check_ghd(ghd, example_hypergraph)
         # C2 ⊆ bag("rest") and C2 ∈ λ("rest") — but is C3 witnessed?
         # C3 = {x3,x4,x5} ⊆ bag("rest") and C3 ∈ λ("rest"): complete.
         assert ghd.is_complete(example_hypergraph)
@@ -127,11 +128,11 @@ class TestCompletion:
                       cover={"C2", "C3"})
         ghd2.add_tree_edge("a", "c")
         ghd2.add_tree_edge("b", "c")
-        assert ghd2.is_valid(example_hypergraph)
+        assert not check_ghd(ghd2, example_hypergraph)
         completed = ghd2.completed(example_hypergraph)
         assert completed.is_complete(example_hypergraph)
         assert completed.ghw_width == ghd2.ghw_width
-        assert completed.is_valid(example_hypergraph)
+        assert not check_ghd(completed, example_hypergraph)
 
     def test_completion_width_never_increases(self, example_hypergraph):
         ghd = GeneralizedHypertreeDecomposition()

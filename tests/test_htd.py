@@ -17,6 +17,7 @@ from repro.hypergraph.generators import (
     random_hypergraph,
 )
 from repro.search import branch_and_bound_ghw
+from repro.verify import check_htd
 from tests.conftest import make_covered_hypergraph
 
 
@@ -32,7 +33,7 @@ class TestValidator:
         htd.add_tree_edge("p1", "p4")
         # p1 uses C1 whose x2 appears in p2's bag (below p1) but not in
         # p1's bag -> descendant condition violated at p1.
-        problems = htd.violations(example_hypergraph)
+        problems = [p.message for p in check_htd(htd, example_hypergraph)]
         assert any("descendant" in p for p in problems)
 
     def test_descendant_condition_satisfied(self, example_hypergraph):
@@ -48,7 +49,7 @@ class TestValidator:
         htd.add_tree_edge("p1", "p4")
         # p1 covers with C1 = {x1,x2,x3}; x2 does not occur below p1;
         # C3 = {x3,x4,x5}; x4 occurs below in p3... and x4 ∉ χ(p1): leak!
-        problems = htd.violations(example_hypergraph)
+        problems = [p.message for p in check_htd(htd, example_hypergraph)]
         assert any("descendant" in p for p in problems) == ("x4" not in
                                                             {"x1", "x3", "x5"})
 
@@ -56,7 +57,7 @@ class TestValidator:
         h = Hypergraph(edges={"e": {1, 2, 3}})
         htd = HypertreeDecomposition(root="n")
         htd.add_node("n", bag={1, 2, 3}, cover={"e"})
-        assert htd.violations(h) == []
+        assert check_htd(htd, h) == []
 
     def test_copy_keeps_root(self):
         htd = HypertreeDecomposition(root="r")
@@ -77,7 +78,7 @@ class TestConstructor:
         for h in (builder(), example_hypergraph):
             ordering = h.vertex_list()
             htd = htd_from_ordering(h, ordering)
-            assert htd.violations(h) == [], h
+            assert check_htd(htd, h) == [], h
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_hypergraphs(self, seed):
@@ -85,7 +86,7 @@ class TestConstructor:
         ordering = h.vertex_list()
         random.Random(seed).shuffle(ordering)
         htd = htd_from_ordering(h, ordering)
-        assert htd.violations(h) == [], seed
+        assert check_htd(htd, h) == [], seed
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hw_ub_at_least_ghw(self, seed):

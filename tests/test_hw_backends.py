@@ -189,7 +189,7 @@ class TestHwEncoding:
         result = cdcl_hypertree_width(h, max_conflicts=1)
         assert result.lower <= result.upper
         assert result.decomposition is not None
-        assert result.decomposition.violations(h) == []
+        assert check_htd(result.decomposition, h) == []
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +215,7 @@ class TestOptKDecomp:
         tri = Hypergraph(edges={"a": {1, 2}, "b": {2, 3}, "c": {1, 3}})
         result = opt_k_decomp(tri)
         assert result.exact and result.width == 2
-        assert result.decomposition.violations(tri) == []
+        assert check_htd(result.decomposition, tri) == []
 
     def test_ladder_exhausted_below_width(self):
         tri = Hypergraph(edges={"a": {1, 2}, "b": {2, 3}, "c": {1, 3}})
@@ -227,7 +227,7 @@ class TestOptKDecomp:
         result = opt_k_decomp(h, max_states=1)
         assert result.lower <= result.upper
         assert result.decomposition is not None
-        assert result.decomposition.violations(h) == []
+        assert check_htd(result.decomposition, h) == []
 
     def test_bound_hooks_can_close_the_ladder(self):
         """An external exact bound arriving between rungs ends the
@@ -256,7 +256,7 @@ class TestOptKDecomp:
         result = opt_k_decomp(h)
         assert result.exact, seed
         assert result.width == det_hw, seed
-        assert result.decomposition.violations(h) == [], seed
+        assert check_htd(result.decomposition, h) == [], seed
         assert result.decomposition.ghw_width == det_hw, seed
 
     def test_cross_rung_records_reused(self):
@@ -300,7 +300,7 @@ class TestThreeWayDifferential:
         assert cdcl.lower <= optk.width <= cdcl.upper
         if cdcl.exact:
             assert cdcl.upper == optk.width
-            assert cdcl.decomposition.violations(h) == []
+            assert check_htd(cdcl.decomposition, h) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_all_three_agree(self, seed):
@@ -352,7 +352,7 @@ class TestGoldenHw:
             htd = htd_from_ordering(h, ordering)
             width = htd.ghw_width
             if best is None or width < best[0]:
-                assert htd.violations(h) == []
+                assert check_htd(htd, h) == []
                 best = (width, htd)
             if best[0] <= 10:
                 break
@@ -392,7 +392,7 @@ class TestGoldenHw:
         cdcl = cdcl_hypertree_width(h)
         assert det_hw == optk.width == cdcl.upper == 1
         for witness in (det_htd, optk.decomposition, cdcl.decomposition):
-            assert witness.violations(h) == []
+            assert check_htd(witness, h) == []
 
     @pytest.mark.parametrize("seed", range(8))
     def test_hw_at_least_ghw(self, seed):
@@ -417,7 +417,7 @@ class TestWitnessPayload:
         result = opt_k_decomp(h)
         payload = result.decomposition.to_payload()
         rebuilt = HypertreeDecomposition.from_payload(payload)
-        assert rebuilt.violations(h) == []
+        assert check_htd(rebuilt, h) == []
         assert rebuilt.ghw_width == result.width
         assert rebuilt.to_payload() == payload
 
@@ -430,7 +430,7 @@ class TestWitnessPayload:
         rebuilt = HypertreeDecomposition.from_payload(
             json.loads(json.dumps(payload))
         )
-        assert rebuilt.violations(h) == []
+        assert check_htd(rebuilt, h) == []
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +494,7 @@ class TestHwPortfolio:
         assert result.ordering is None
         assert result.witness is not None
         rebuilt = HypertreeDecomposition.from_payload(result.witness)
-        assert rebuilt.violations(h) == []
+        assert check_htd(rebuilt, h) == []
         assert rebuilt.ghw_width == 3
         assert set(result.reports) == {"optk-hw", "cdcl-hw", "min-fill-hw"}
         for report in result.reports.values():

@@ -23,6 +23,7 @@ from repro.hypergraph.generators import (
     random_hypergraph,
 )
 from repro.setcover import exact_set_cover
+from repro.verify import check_td
 
 
 def covered(h):
@@ -37,7 +38,7 @@ class TestTransform:
             example_hypergraph, example_hypergraph.vertex_list()
         )
         lnf = transform_leaf_normal_form(example_hypergraph, td)
-        assert lnf.is_valid(example_hypergraph)
+        assert not check_td(lnf, example_hypergraph)
         assert is_leaf_normal_form(example_hypergraph, lnf)
 
     def test_bags_dominated_by_input(self, example_hypergraph):
@@ -81,7 +82,7 @@ class TestTransform:
                                       max_arity=4))
         td = bucket_elimination(h, h.vertex_list())
         lnf = transform_leaf_normal_form(h, td)
-        assert lnf.is_valid(h)
+        assert not check_td(lnf, h)
         assert is_leaf_normal_form(h, lnf)
         original = list(td.bags.values())
         for bag in lnf.bags.values():

@@ -21,6 +21,7 @@ from repro.hypergraph.generators import (
     random_gnm_graph,
 )
 from repro.search import brute_force_treewidth
+from repro.verify import check_td
 
 
 class TestRemoveSubsumedBags:
@@ -29,7 +30,7 @@ class TestRemoveSubsumedBags:
         g = random_gnm_graph(10, 18, seed=seed + 15000)
         td = bucket_elimination(g, min_fill_ordering(g))
         reduced = remove_subsumed_bags(td)
-        assert reduced.is_valid(g)
+        assert not check_td(reduced, g)
         assert reduced.width == td.width
         assert is_reduced(reduced)
         assert reduced.num_nodes <= td.num_nodes

@@ -4,6 +4,7 @@ import pytest
 
 from repro.decomposition import DecompositionError, TreeDecomposition
 from repro.hypergraph import Graph, Hypergraph
+from repro.verify import check_td
 
 
 def simple_td():
@@ -94,12 +95,12 @@ class TestValidityOnGraphs:
     def test_valid_path_decomposition(self):
         g = Graph.from_edges([(1, 2), (2, 3), (3, 4), (4, 5)])
         td = simple_td()
-        assert td.is_valid(g)
+        assert not check_td(td, g)
 
     def test_missing_edge_detected(self):
         g = Graph.from_edges([(1, 5)])
         td = simple_td()
-        problems = td.violations(g)
+        problems = [p.message for p in check_td(td, g)]
         assert any("not contained" in p for p in problems)
 
     def test_connectedness_violation_detected(self):
@@ -110,20 +111,20 @@ class TestValidityOnGraphs:
         td.add_tree_edge("a", "b")
         td.add_tree_edge("b", "c")
         g = Graph.from_edges([(1, 2), (2, 3), (1, 3)])
-        problems = td.violations(g)
+        problems = [p.message for p in check_td(td, g)]
         assert any("connectedness" in p for p in problems)
 
     def test_uncovered_vertex_detected(self):
         g = Graph(vertices=[1, 2, 3, 4, 5, 99])
         g.add_edge(1, 2)
-        problems = simple_td().violations(g)
+        problems = [p.message for p in check_td(simple_td(), g)]
         assert any("99" in p and "no bag" in p for p in problems)
 
     def test_non_tree_detected(self):
         td = TreeDecomposition()
         td.add_node("a", {1})
         td.add_node("b", {1})
-        problems = td.violations(Graph(vertices=[1]))
+        problems = [p.message for p in check_td(td, Graph(vertices=[1]))]
         assert "node graph is not a tree" in problems
 
 
@@ -131,7 +132,7 @@ class TestValidityOnHypergraphs:
     def test_hyperedge_containment(self):
         h = Hypergraph(edges={"big": {1, 2, 3, 4}})
         td = simple_td()
-        problems = td.violations(h)
+        problems = [p.message for p in check_td(td, h)]
         assert any("big" in p for p in problems)
 
     def test_valid_hypergraph_decomposition(self, example_hypergraph):
@@ -143,5 +144,5 @@ class TestValidityOnHypergraphs:
         td.add_tree_edge("p1", "p2")
         td.add_tree_edge("p2", "p3")
         td.add_tree_edge("p2", "p4")
-        assert td.is_valid(example_hypergraph)
+        assert not check_td(td, example_hypergraph)
         assert td.width == 2
