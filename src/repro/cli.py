@@ -393,8 +393,15 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from .verify import FAULTS, FuzzConfig, run_fuzz, run_replay, write_replay
-    from .verify.fuzz import DEFAULT_FAMILIES
+    from .verify.fuzz import (
+        DEFAULT_FAMILIES,
+        FAULTS,
+        KEEP_STORED_FAULT,
+        FuzzConfig,
+        run_fuzz,
+        run_replay,
+        write_replay,
+    )
 
     if args.list_faults:
         for name in sorted(FAULTS):
@@ -403,8 +410,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     try:
         if args.replay:
-            from .verify.fuzz import KEEP_STORED_FAULT
-
             fault = args.fault
             if fault is None:
                 fault = KEEP_STORED_FAULT

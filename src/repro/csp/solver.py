@@ -21,6 +21,7 @@ from collections.abc import Hashable
 from ..decomposition.ghd import GeneralizedHypertreeDecomposition
 from ..decomposition.tree_decomposition import TreeDecomposition
 from ..telemetry import NULL_TRACER
+from ..verify.certificate import check_ghd, check_td
 from .acyclic import JoinTree, acyclic_solving
 from .csp import CSP, CSPError
 from .relation import Relation, cartesian_relation
@@ -62,8 +63,6 @@ def solve_from_tree_decomposition(
     Raises :class:`CSPError` when ``td`` is not a valid tree
     decomposition of the CSP's constraint hypergraph.
     """
-    from ..verify.certificate import check_td
-
     hypergraph = _constrained_hypergraph(csp)
     problems = check_td(td, hypergraph)
     if problems:
@@ -119,8 +118,6 @@ def solve_from_ghd(
     relation is ``π_bag( ⨝ λ-relations )`` — no domain enumeration, which
     is the whole point of hypertree decompositions for databases.
     """
-    from ..verify.certificate import check_ghd
-
     hypergraph = _constrained_hypergraph(csp)
     problems = check_ghd(ghd, hypergraph)
     if problems:

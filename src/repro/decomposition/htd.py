@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Hashable
 
 from ..hypergraph.hypergraph import Hypergraph
+from ..verify.certificate import assert_certified
 from .ghd import GeneralizedHypertreeDecomposition
 
 
@@ -190,8 +191,6 @@ def hypertree_width_upper_bound(hypergraph: Hypergraph, ordering) -> int:
     :class:`AssertionError` if the fixpoint ever produced an invalid one
     (it cannot; the check is a guard for future edits).
     """
-    from ..verify.certificate import assert_certified
-
     htd = htd_from_ordering(hypergraph, ordering)
     assert_certified(htd, hypergraph, "repaired HTD")
     return htd.ghw_width

@@ -23,6 +23,7 @@ from collections.abc import Hashable
 
 from ..hypergraph.graph import Vertex
 from ..hypergraph.hypergraph import Hypergraph
+from ..verify.certificate import check_td
 from .tree_decomposition import DecompositionError, TreeDecomposition
 
 
@@ -35,8 +36,6 @@ def transform_leaf_normal_form(
     form whose every bag is contained in some bag of ``td`` (Theorem 1).
     The hyperedge-leaves are nodes named ``("leaf", edge_name)``.
     """
-    from ..verify.certificate import check_td
-
     problems = check_td(td, hypergraph)
     if problems:
         raise DecompositionError(

@@ -57,6 +57,7 @@ from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
 from ..setcover.bitcover import BitCoverEngine
 from ..telemetry import Metrics, NULL_TRACER
+from ..verify.certificate import check_ghd
 
 #: The balance relaxation ladder of the issue/paper: a component may
 #: keep at most this fraction of the subproblem's live vertices.
@@ -612,8 +613,6 @@ def certify_assembly(
 ) -> GeneralizedHypertreeDecomposition:
     """Every assembly is certified before being reported; a violation
     here is an internal invariant failure, never a wrong answer."""
-    from ..verify import check_ghd
-
     violations = check_ghd(ghd, hypergraph, claimed_width=k)
     if violations:
         raise BalancedCertificationError(

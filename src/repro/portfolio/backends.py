@@ -39,6 +39,7 @@ from ..search import (
     branch_and_bound_treewidth,
 )
 from ..search.ghw_common import GhwSearchContext, initial_ghw_bounds
+from ..verify.certificate import assert_certified
 from ..widths import Width, as_width
 
 
@@ -332,7 +333,6 @@ def _minfill_hw_bounds(hypergraph: Hypergraph, rng: random.Random):
     (ghw ≤ hw) for the lower."""
     from ..bounds.upper import min_fill_ordering
     from ..decomposition.htd import htd_from_ordering
-    from ..verify.certificate import assert_certified
 
     lb = ghw_lower_bound(hypergraph, rng)
     htd = htd_from_ordering(hypergraph, min_fill_ordering(hypergraph, rng))

@@ -36,6 +36,7 @@ from ..search import BoundHooks, SearchBudget, branch_and_bound_ghw
 from ..setcover.bitcover import BitCoverEngine
 from ..setcover.exact import exact_set_cover
 from ..telemetry import Metrics
+from ..verify.certificate import certify
 from .runner import run_portfolio
 
 # Node budget for per-bag exact covers when building certificates; the
@@ -284,8 +285,6 @@ class IncrementalSolver:
         the solver's claim whenever the claim was honest — and wins
         when it was not.
         """
-        from ..verify import certify
-
         ghd = ghd_from_ordering(
             self.hypergraph, ordering, cover_function=_exact_cover_function
         )

@@ -35,6 +35,7 @@ from ..bounds.upper import min_fill_ordering
 from ..decomposition.htd import HypertreeDecomposition, htd_from_ordering
 from ..hypergraph.hypergraph import Hypergraph
 from ..telemetry import NULL_TRACER
+from ..verify.certificate import assert_certified
 from .solver import CDCLSolver, SolverBudgetExceeded
 
 # Refuse to build formulas past this many clauses: the pure-python
@@ -488,8 +489,6 @@ def cdcl_hypertree_width(
                 witness.add_tree_edge(a, b)
             witness.add_tree_edge(other.effective_root(), root)
         if len(trees) > 1:
-            from ..verify.certificate import assert_certified
-
             assert_certified(witness, hypergraph, "cdcl hw witness")
     return CdclHwResult(
         upper=upper,
@@ -520,8 +519,6 @@ def _solve_component(
     corrupt_learned: bool,
     max_clauses: int,
 ) -> CdclHwResult:
-    from ..verify.certificate import assert_certified
-
     ordering = min_fill_ordering(hypergraph)
     incumbent = htd_from_ordering(hypergraph, ordering)
     assert_certified(incumbent, hypergraph, "cdcl hw witness")

@@ -36,6 +36,7 @@ from ..decomposition.htd import HypertreeDecomposition, htd_from_ordering
 from ..hypergraph.hypergraph import Hypergraph
 from ..setcover.bitcover import BitCoverEngine
 from ..telemetry import NULL_TRACER, Metrics
+from ..verify.certificate import assert_certified
 from .detkdecomp import _edge_components, _iter_separators, _materialize, _Node
 
 # One optk_subproblem trace event per this many fresh subproblems.
@@ -200,8 +201,6 @@ def opt_k_decomp(
     Raises :class:`ValueError` for isolated vertices or ``max_width``
     below 1, mirroring :func:`~repro.search.detkdecomp.det_k_decomp`.
     """
-    from ..verify.certificate import assert_certified
-
     if max_width is not None and max_width < 1:
         raise ValueError("max_width must be at least 1")
     isolated = hypergraph.isolated_vertices()

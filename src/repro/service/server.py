@@ -148,6 +148,8 @@ class DecompositionService:
         self.solver = solver or portfolio_solver
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics or Metrics()
+        # Registered up front so ``stats`` reports 0, not an absent key.
+        self.metrics.counter("service.canonical_fallbacks")
         self.cache = DecompositionCache(self.config.cache_capacity)
         self._inflight: dict[tuple[str, str], _Inflight] = {}
         self._admission = asyncio.Semaphore(
@@ -347,6 +349,10 @@ class DecompositionService:
             return error_response(exc.code, str(exc), request_id)
 
         form = canonical_form(structure)
+        if not form.canonical:
+            # The search budget ran out: the key is stable for these
+            # labels but isomorphic resubmissions may miss the cache.
+            self.metrics.counter("service.canonical_fallbacks").inc()
         try:
             response = await self._solve(metric, structure, form, budget)
         except Exception as exc:  # noqa: BLE001 — the response boundary:

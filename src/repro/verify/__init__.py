@@ -1,9 +1,11 @@
 """Decomposition certificates and the differential fuzz harness.
 
 ``certificate`` is the single source of truth for decomposition
-validity; ``fuzz``
-turns the checkers plus the solver zoo into a push-button bug finder
-with delta-debugged minimal counterexamples.
+validity, and the package re-exports it alone: it imports nothing but
+the hypergraph types, so every solver module can import the checkers at
+module level.  ``repro.verify.fuzz`` turns the checkers plus the solver
+zoo into a push-button bug finder with delta-debugged minimal
+counterexamples; import it directly.
 """
 
 from .certificate import (
@@ -26,16 +28,6 @@ from .certificate import (
     check_htd,
     check_td,
 )
-from .fuzz import (
-    FAULTS,
-    FuzzConfig,
-    FuzzFailure,
-    FuzzReport,
-    load_replay,
-    run_fuzz,
-    run_replay,
-    write_replay,
-)
 
 __all__ = [
     "ALL_KINDS",
@@ -43,10 +35,6 @@ __all__ = [
     "DESCENDANT_CONDITION",
     "EDGE_UNCOVERED",
     "FRACTIONAL_WEIGHT_INVALID",
-    "FAULTS",
-    "FuzzConfig",
-    "FuzzFailure",
-    "FuzzReport",
     "NOT_A_TREE",
     "UNKNOWN_LAMBDA_EDGE",
     "VERTEX_DISCONNECTED",
@@ -60,8 +48,4 @@ __all__ = [
     "check_ghd",
     "check_htd",
     "check_td",
-    "load_replay",
-    "run_fuzz",
-    "run_replay",
-    "write_replay",
 ]

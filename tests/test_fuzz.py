@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.hypergraph import Graph, Hypergraph
-from repro.verify import (
+from repro.verify.fuzz import (
     FAULTS,
     FuzzConfig,
     load_replay,
