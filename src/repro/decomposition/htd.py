@@ -49,38 +49,6 @@ class HypertreeDecomposition(GeneralizedHypertreeDecomposition):
             return self.root
         return self.nodes[0]
 
-    def to_payload(self) -> dict:
-        """A JSON-shaped dump of the decomposition (node ids, bags and
-        λ-names must be JSON-representable — true for every witness the
-        hw backends produce).  The service cache and the portfolio's
-        process boundary both ship witnesses in this form."""
-        return {
-            "nodes": [
-                [
-                    node,
-                    sorted(self.bag(node), key=repr),
-                    sorted(self.cover(node), key=repr),
-                ]
-                for node in self.nodes
-            ],
-            "tree": [[a, b] for a, b in self.tree_edges()],
-            "root": self.effective_root() if self._bags else None,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "HypertreeDecomposition":
-        """Rebuild a decomposition from :meth:`to_payload` output.
-
-        Validates shape only — callers must certify the result with
-        ``check_htd`` before trusting it (the service does exactly
-        that on insert)."""
-        htd = cls(root=payload.get("root"))
-        for node, bag, cover in payload["nodes"]:
-            htd.add_node(node, bag=bag, cover=cover)
-        for a, b in payload["tree"]:
-            htd.add_tree_edge(a, b)
-        return htd
-
     def subtree_variables(self, root: Hashable) -> dict[Hashable, set]:
         """Union of bags per rooted subtree (children-first computed)."""
         parents = self.rooted_parents(root)

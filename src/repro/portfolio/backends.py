@@ -24,7 +24,13 @@ from functools import partial
 from ..bounds.ghw_lower import ghw_lower_bound
 from ..bounds.lower import minor_gamma_r, minor_min_width
 from ..bounds.upper import best_heuristic_ordering
-from ..decomposition import ghw_ordering_width
+from ..decomposition import (
+    TreeDecomposition,
+    bucket_elimination,
+    fhd_from_ordering,
+    ghd_from_ordering,
+    ghw_ordering_width,
+)
 from ..genetic import GAParameters, ga_fhw, ga_ghw, ga_treewidth
 from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.graph import Graph
@@ -39,6 +45,7 @@ from ..search import (
     branch_and_bound_treewidth,
 )
 from ..search.ghw_common import GhwSearchContext, initial_ghw_bounds
+from ..setcover import exact_set_cover
 from ..verify.certificate import assert_certified
 from ..widths import Width, as_width
 
@@ -78,17 +85,18 @@ class BackendConfig:
 class BackendReport:
     """What one worker sends home.
 
-    ``upper_bound`` is witnessed by ``ordering``; ``lower_bound`` is the
-    worker's own proof (``None`` for heuristic-only backends like the
-    GA).  ``events`` is the worker-local bound stream (filled in by the
-    runner's worker shim, which also stamps ``elapsed_seconds`` with the
-    worker's wall time).  ``error`` marks a worker that raised — the
-    bound fields are then meaningless.
-
-    ``witness`` is the decomposition payload
-    (:meth:`~repro.decomposition.htd.HypertreeDecomposition.to_payload`)
-    for metrics whose certificate is a tree rather than an elimination
-    ordering — the hw backends fill it and leave ``ordering`` None.
+    ``upper_bound`` is witnessed by ``witness``, the decomposition the
+    worker built for it: a :class:`TreeDecomposition` for tw, a GHD with
+    exact λ-labels for ghw, an FHD with ``Fraction`` weights for fhw and
+    a :class:`HypertreeDecomposition` for hw.  ``ordering`` is the
+    elimination ordering the tw, ghw and fhw witnesses were built from
+    (None for hw and ``balanced-ghw``, whose trees come from no
+    ordering).  ``lower_bound`` is the worker's own proof (``None`` for
+    heuristic-only backends like the GA).  ``events`` is the
+    worker-local bound stream (filled in by the runner's worker shim,
+    which also stamps ``elapsed_seconds`` with the worker's wall time).
+    ``error`` marks a worker that raised — the bound fields are then
+    meaningless.
     """
 
     backend: str
@@ -102,7 +110,7 @@ class BackendReport:
     error: str | None = None
     events: list = field(default_factory=list)
     trace_records: list = field(default_factory=list)
-    witness: dict | None = None
+    witness: TreeDecomposition | None = None
 
 
 def _budget(config: BackendConfig, hooks: BoundHooks) -> SearchBudget:
@@ -113,28 +121,49 @@ def _budget(config: BackendConfig, hooks: BoundHooks) -> SearchBudget:
     )
 
 
-def _search_report(name: str, result) -> BackendReport:
+def _certificate(kind: str, structure, ordering) -> TreeDecomposition | None:
+    """The decomposition a tw, ghw or fhw ``ordering`` witnesses, built
+    in the worker so the verify-on-insert gate only checks it."""
+    if ordering is None:
+        return None
+    if kind == "tw":
+        return bucket_elimination(structure, ordering)
+    if kind == "ghw":
+        # Exact covers: greedy λ-labels could measure wider than the
+        # backend's claim and get an honest certificate rejected.
+        return ghd_from_ordering(
+            _as_hypergraph(structure), ordering,
+            cover_function=exact_set_cover,
+        )
+    return fhd_from_ordering(_as_hypergraph(structure), ordering)
+
+
+def _search_report(name: str, kind: str, structure, result) -> BackendReport:
+    ordering = list(result.ordering) if result.ordering is not None else None
     return BackendReport(
         backend=name,
         upper_bound=result.upper_bound,
         lower_bound=result.lower_bound,
-        ordering=list(result.ordering) if result.ordering is not None else None,
+        ordering=ordering,
         exact=result.exact,
         nodes=result.stats.nodes_expanded,
+        witness=_certificate(kind, structure, ordering),
     )
 
 
-def _ga_report(name: str, result) -> BackendReport:
+def _ga_report(name: str, kind: str, structure, result) -> BackendReport:
     # as_width, not int(): truncating a rational fitness (int(3/2) == 1)
     # would report an unwitnessed — unsound — upper bound.
+    ordering = list(result.best_individual) or None
     return BackendReport(
         backend=name,
         upper_bound=as_width(result.best_fitness),
         lower_bound=None,
-        ordering=list(result.best_individual) or None,
+        ordering=ordering,
         exact=False,
         nodes=result.evaluations,
         stopped_by_bound=result.stopped_by_bound,
+        witness=_certificate(kind, structure, ordering),
     )
 
 
@@ -167,7 +196,7 @@ def _run_astar_tw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("astar-tw", result)
+    return _search_report("astar-tw", "tw", structure, result)
 
 
 def _run_bb_tw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -176,7 +205,7 @@ def _run_bb_tw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("bb-tw", result)
+    return _search_report("bb-tw", "tw", structure, result)
 
 
 def _run_ga_tw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -188,7 +217,7 @@ def _run_ga_tw(structure, config: BackendConfig, hooks: BoundHooks):
         hooks=hooks,
         seed_individuals=_warm_seeds(config),
     )
-    return _ga_report("ga-tw", result)
+    return _ga_report("ga-tw", "tw", structure, result)
 
 
 # -- ghw backends -------------------------------------------------------
@@ -200,7 +229,7 @@ def _run_bb_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("bb-ghw", result)
+    return _search_report("bb-ghw", "ghw", structure, result)
 
 
 def _run_astar_ghw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -209,7 +238,7 @@ def _run_astar_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("astar-ghw", result)
+    return _search_report("astar-ghw", "ghw", structure, result)
 
 
 def _run_ga_ghw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -221,7 +250,7 @@ def _run_ga_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         hooks=hooks,
         seed_individuals=_warm_seeds(config),
     )
-    return _ga_report("ga-ghw", result)
+    return _ga_report("ga-ghw", "ghw", structure, result)
 
 
 # -- hw backends --------------------------------------------------------
@@ -249,11 +278,7 @@ def _run_optk_hw(structure, config: BackendConfig, hooks: BoundHooks):
         ordering=None,
         exact=result.exact,
         nodes=result.subproblems,
-        witness=(
-            result.decomposition.to_payload()
-            if result.decomposition is not None
-            else None
-        ),
+        witness=result.decomposition,
     )
 
 
@@ -279,11 +304,7 @@ def _run_cdcl_hw(structure, config: BackendConfig, hooks: BoundHooks):
         ordering=None,
         exact=result.exact,
         nodes=result.conflicts,
-        witness=(
-            result.decomposition.to_payload()
-            if result.decomposition is not None
-            else None
-        ),
+        witness=result.decomposition,
     )
 
 
@@ -296,7 +317,7 @@ def _run_astar_fhw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("astar-fhw", result)
+    return _search_report("astar-fhw", "fhw", structure, result)
 
 
 def _run_ga_fhw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -308,7 +329,7 @@ def _run_ga_fhw(structure, config: BackendConfig, hooks: BoundHooks):
         hooks=hooks,
         seed_individuals=_warm_seeds(config),
     )
-    return _ga_report("ga-fhw", result)
+    return _ga_report("ga-fhw", "fhw", structure, result)
 
 
 # -- min-fill seed backends ---------------------------------------------
@@ -337,7 +358,7 @@ def _minfill_hw_bounds(hypergraph: Hypergraph, rng: random.Random):
     lb = ghw_lower_bound(hypergraph, rng)
     htd = htd_from_ordering(hypergraph, min_fill_ordering(hypergraph, rng))
     assert_certified(htd, hypergraph, "min-fill hw witness")
-    return lb, htd.ghw_width, None, htd.to_payload()
+    return lb, htd.ghw_width, None, htd
 
 
 def _minfill_fhw_bounds(hypergraph: Hypergraph, rng: random.Random):
@@ -356,8 +377,10 @@ def _run_minfill(
 ):
     """A seed backend: ``bounds(structure, rng)`` returns
     ``(lb, ub, ordering, witness)`` in milliseconds, published before
-    the report goes home.  Edgeless instances (vertexless graphs for tw)
-    have width 0 and publish nothing."""
+    the report goes home; a None ``witness`` is then built from
+    ``ordering``.  Edgeless instances (vertexless graphs for tw) have
+    width 0, publish nothing and ship no witness: no λ-label covers an
+    isolated vertex, and the service rejects both shapes before solving."""
     if metric == "tw":
         structure = (
             structure.primal_graph()
@@ -379,6 +402,8 @@ def _run_minfill(
         hooks.publish_lower(lb)
     if hooks.publish_upper is not None:
         hooks.publish_upper(ub)
+    if witness is None:
+        witness = _certificate(metric, structure, ordering)
     return BackendReport(
         backend=name,
         upper_bound=ub,
@@ -398,8 +423,9 @@ def _run_balanced_ghw(structure, config: BackendConfig, hooks: BoundHooks):
     published through the shared channel and external upper bounds are
     consumed to skip dead rungs of the k-ladder.
 
-    ``ordering`` is None: the witness is a stitched GHD, not an
-    elimination ordering — which is why this backend is not in
+    The witness is the stitched GHD and ``ordering`` is None: no
+    elimination ordering built that tree, so a ghw answer it wins is
+    served without one — which is why this backend is not in
     ``DEFAULT_BACKENDS`` (downstream witness-replay paths expect
     orderings); select it explicitly.
     """
@@ -420,6 +446,7 @@ def _run_balanced_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         ordering=None,
         exact=result.exact,
         nodes=int(result.stats.get("parallel.subproblems", 0)),
+        witness=result.decomposition,
     )
 
 

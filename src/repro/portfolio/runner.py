@@ -5,7 +5,7 @@ instance.  Workers exchange incumbent bounds through a
 :class:`~repro.portfolio.shared.SharedBounds` channel — each worker
 tightens its pruning from the others' progress — and the parent
 aggregates everything into a single anytime :class:`PortfolioResult`:
-the best witnessed width, its certificate ordering, the max of the
+the best witnessed width, its certificate decomposition, the max of the
 proven lower bounds, per-backend stats and the merged bound-event
 timeline.
 
@@ -30,8 +30,9 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
+from ..decomposition import TreeDecomposition
 from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
 from ..telemetry import NULL_TRACER, MemoryTracer, merge_records, write_jsonl
@@ -94,11 +95,14 @@ def shutdown_workers(processes, queues=(), grace: float = 5.0) -> None:
 class PortfolioResult:
     """Aggregated outcome of a portfolio race.
 
-    ``upper_bound`` is witnessed by ``ordering`` (found by
-    ``best_backend``); ``lower_bound`` is the max of the workers' proven
-    lower bounds, so ``exact`` means the width is fixed even when no
-    single worker proved both sides itself — that combination is the
-    point of the shared channel.
+    ``upper_bound`` is witnessed by ``witness``, the decomposition
+    ``best_backend`` built in its worker (see
+    :class:`~repro.portfolio.backends.BackendReport`), and ``ordering``
+    is the elimination ordering it was built from, when there is one;
+    ``lower_bound`` is the max of the workers' proven lower bounds, so
+    ``exact`` means the width is fixed even when no single worker proved
+    both sides itself — that combination is the point of the shared
+    channel.
     """
 
     metric: str  # "tw" | "ghw" | "fhw" | "hw"
@@ -114,9 +118,7 @@ class PortfolioResult:
     deterministic: bool
     trace_path: str | None = None
     trace_records: int = 0
-    # hw races witness by decomposition payload (ordering stays None);
-    # see BackendReport.witness.
-    witness: dict | None = None
+    witness: TreeDecomposition | None = None
 
     @property
     def width(self) -> Width:
@@ -213,7 +215,7 @@ def run_portfolio(
 
     Deadline expiry degrades gracefully: if every worker was killed or
     crashed before reporting, the best incumbent bracket left in the
-    shared channel is returned (``ordering=None``,
+    shared channel is returned (no ``witness`` or ``ordering``,
     ``best_backend="shared-channel"``) rather than raising — only a race
     with a truly empty channel raises :class:`PortfolioError`.
     """
@@ -424,8 +426,8 @@ def _aggregate(
     When *no* backend reported a witnessed upper bound (deadline expiry
     killed or crashed them all), the channel's incumbent upper bound —
     published by a worker before it died — still yields an anytime
-    bracket: ``ordering=None``, ``best_backend="shared-channel"``.  Only
-    an empty channel raises.
+    bracket: no ``witness`` or ``ordering``,
+    ``best_backend="shared-channel"``.  Only an empty channel raises.
     """
     candidates = [
         report

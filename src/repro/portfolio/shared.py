@@ -12,8 +12,10 @@ integers ride along with denominator 1.  Workers poll through their
 monotone merges (compared by cross-multiplication) — a stale write can
 never loosen the channel.
 
-The channel carries *values only*.  Certificates (orderings) stay in the
-worker that found them and travel home in its
+The channel carries *values only*.  Certificates stay in the worker
+that found them: it builds the decomposition witnessing its bound
+(bucket-elimination tree, exact-cover GHD, rational-weight FHD or
+hypertree decomposition) and ships it home in its
 :class:`~repro.portfolio.backends.BackendReport`; the aggregator picks
 the certificate matching the winning bound.  This keeps the shared state
 four machine words, so polling is cheap enough for search inner loops.

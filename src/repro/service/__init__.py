@@ -7,7 +7,8 @@ The pieces, bottom-up:
   forms and SHA-256 keys, so relabeled resubmissions share one cache
   entry.
 * :mod:`~repro.service.cache` — the bounded LRU of verified answers
-  (certificates re-checked by :mod:`repro.verify` before insertion).
+  (each solver-built decomposition checked by :mod:`repro.verify`
+  before insertion).
 * :mod:`~repro.service.protocol` — the JSONL wire format.
 * :mod:`~repro.service.server` — the asyncio server: request
   coalescing, admission control, per-request deadlines and graceful

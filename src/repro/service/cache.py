@@ -1,20 +1,25 @@
 """The bounded LRU decomposition cache behind the service.
 
 Entries live in *canonical coordinates* (see
-:mod:`repro.service.canonical`): the certificate ordering is stored as
+:mod:`repro.service.canonical`): the served ordering is stored as
 canonical vertex indices, so one entry serves every isomorphic
 resubmission — the hit path maps the ordering through the submitted
 instance's own :class:`~repro.service.canonical.CanonicalForm`.
 
 Soundness rests on two gates:
 
-* **Verify-on-insert.**  Nothing enters the cache without its witness
-  re-checked by :mod:`repro.verify`: the ordering is rebuilt into a
-  decomposition of the *submitted* structure (bucket elimination for tw,
-  exact-cover GHD for ghw, rational-LP FHD for fhw; hw ships its
-  decomposition as a payload) and :func:`repro.verify.certify` must
-  pass with the claimed width — a doctored certificate (wrong ordering,
-  overclaimed width) is rejected, counted, and never served to anyone.
+* **Verify-on-insert.**  Every answer arrives with the decomposition
+  its solver built — a tree decomposition for tw, a GHD with its
+  λ-labels for ghw, an FHD with its exact γ-weights for fhw, a
+  hypertree decomposition for hw — and nothing enters the cache unless
+  :func:`repro.verify.certify` accepts it for the *submitted* structure
+  at the claimed width.  The gate checks the covers it is given and
+  computes none: no set cover, no LP.  When an ordering is served
+  with the answer (tw, ghw, fhw), its elimination bags must equal the
+  witness's bag at every vertex, which ties the ordering to the
+  certified covers.  A doctored certificate (wrong ordering, shaved
+  cover, overclaimed width) is rejected, counted, and never served to
+  anyone; an answer with no witness is never cached.
 * **Collision check.**  A lookup whose key matches but whose canonical
   edge list differs (hash collision, or a budget-fallback key) is
   treated as a miss, so a cached answer can never leak to a
@@ -30,24 +35,31 @@ operations, no locking.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..decomposition import (
+    FractionalHypertreeDecomposition,
+    GeneralizedHypertreeDecomposition,
     HypertreeDecomposition,
-    bucket_elimination,
-    fhd_from_ordering,
-    ghd_from_ordering,
+    TreeDecomposition,
+    elimination_bags,
 )
 from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
-from ..setcover import exact_set_cover
 from ..verify.certificate import certify
 from ..widths import Width, as_width
 from .canonical import CanonicalForm
 
-METRICS = ("tw", "ghw", "fhw", "hw")
+# The decomposition class that witnesses each metric.  Exact types:
+# every class is a TreeDecomposition, and certify measures the width its
+# duck type offers, so a GHD must not pass for a tw answer.
+WITNESS_TYPES = {
+    "tw": TreeDecomposition,
+    "ghw": GeneralizedHypertreeDecomposition,
+    "fhw": FractionalHypertreeDecomposition,
+    "hw": HypertreeDecomposition,
+}
 
 
 @dataclass
@@ -61,77 +73,55 @@ class CacheEntry:
     upper: Width
     lower: Width
     exact: bool
-    # Canonical certificate ordering; None for hw, whose witness is a
-    # decomposition payload verified at insert and not re-served.
+    # The served ordering, in canonical indices; None when the witness
+    # came from no ordering (hw, balanced-ghw).
     ordering: tuple[int, ...] | None
     backend: str
-    solve_seconds: float
-    inserted_at: float = field(default_factory=time.monotonic)
-    hits: int = 0
 
 
 class CertificateRejected(ValueError):
     """The witness failed the verify-on-insert gate."""
 
 
-def build_decomposition(
-    metric: str, structure, ordering, witness: dict | None = None
-):
-    """The witness decomposition a certificate claims, per metric: the
-    one ``ordering`` builds for tw/ghw/fhw, the shipped decomposition
-    payload ``witness`` for hw.  ghw, fhw and hw need a
-    :class:`Hypergraph`."""
-    if metric == "tw":
-        return bucket_elimination(structure, ordering)
-    if metric == "ghw":
-        # Exact covers: the greedy λ-labels could measure wider than the
-        # solver's claim and spuriously flag an honest certificate.
-        return ghd_from_ordering(
-            structure, ordering, cover_function=exact_set_cover
-        )
-    if metric == "fhw":
-        return fhd_from_ordering(structure, ordering)
-    if metric == "hw":
-        return HypertreeDecomposition.from_payload(witness)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def verify_witness(
     metric: str,
     structure: Graph | Hypergraph,
-    ordering,
+    witness: TreeDecomposition | None,
     claimed_upper: Width,
-    witness: dict | None = None,
+    ordering=None,
 ) -> list[str]:
-    """Check a claimed witness against ``structure``; returns violation
-    messages (empty = verified).
+    """Check a witness decomposition, and the ``ordering`` served with
+    it, against ``structure``; returns violation messages (empty =
+    verified).
 
-    Orderings witness tw/ghw/fhw; hw is witnessed by a decomposition
-    *payload* (``witness``, :meth:`HypertreeDecomposition.to_payload`
-    shaped) in the submitted structure's native labels.  Every metric's
-    decomposition then goes through one :func:`repro.verify.certify`
-    call — for hw that is :func:`~repro.verify.check_htd`, descendant
-    condition included.
-
-    Any exception while rebuilding the decomposition (ordering is not a
-    permutation, unknown vertices, malformed payload, ...) is itself a
+    Any exception while checking (an ordering that is not a
+    permutation, a witness over unknown vertices, ...) is itself a
     rejection — a malformed certificate must never crash the gate it is
     probing.
     """
-    if metric == "hw" and witness is None:
-        return ["hw certificate requires a decomposition payload"]
+    expected = WITNESS_TYPES[metric]
+    if type(witness) is not expected:
+        return [
+            f"a {metric} answer needs a {expected.__name__} witness, "
+            f"not {type(witness).__name__}"
+        ]
     try:
         if metric != "tw" and not isinstance(structure, Hypergraph):
             structure = Hypergraph.from_graph(structure)
-        decomposition = build_decomposition(
-            metric, structure, ordering, witness
-        )
         certificate = certify(
-            decomposition, structure, claimed_width=as_width(claimed_upper)
+            witness, structure, claimed_width=as_width(claimed_upper)
         )
+        problems = [str(v) for v in certificate.violations]
+        if ordering is not None and (
+            elimination_bags(structure, ordering) != witness.bags
+        ):
+            problems.append(
+                "the served ordering's elimination bags are not the "
+                "witness's bags"
+            )
     except Exception as exc:  # noqa: BLE001 — the gate's whole point
-        return [f"certificate rebuild failed: {type(exc).__name__}: {exc}"]
-    return [str(v) for v in certificate.violations]
+        return [f"certificate check failed: {type(exc).__name__}: {exc}"]
+    return problems
 
 
 class DecompositionCache:
@@ -172,7 +162,6 @@ class DecompositionCache:
             self.misses += 1
             return None
         self._entries.move_to_end((metric, form.key))
-        entry.hits += 1
         self.hits += 1
         return entry
 
@@ -185,22 +174,20 @@ class DecompositionCache:
         lower: Width,
         ordering,
         backend: str,
-        solve_seconds: float = 0.0,
-        witness: dict | None = None,
+        witness: TreeDecomposition | None = None,
     ) -> CacheEntry:
-        """Verify the witness and admit it (evicting the LRU entry).
+        """Certify the witness and admit it (evicting the LRU entry).
 
-        tw/ghw/fhw verify their ``ordering``; hw verifies the
-        decomposition payload ``witness`` instead and stores
-        ``ordering=None`` (hw cache hits serve the verified width, not
-        the witness).  Raises :class:`CertificateRejected` — and counts
-        it — when the witness does not certify; the cache state is then
-        unchanged.
+        ``witness`` is the decomposition behind ``upper`` and
+        ``ordering`` the elimination ordering served with it (None when
+        there is none, as for hw).  Raises :class:`CertificateRejected`
+        — and counts it — when either fails :func:`verify_witness`; the
+        cache state is then unchanged.
         """
-        if metric not in METRICS:
+        if metric not in WITNESS_TYPES:
             raise ValueError(f"unknown metric {metric!r}")
         problems = verify_witness(
-            metric, structure, ordering, upper, witness=witness
+            metric, structure, witness, upper, ordering=ordering
         )
         if problems:
             self.rejected += 1
@@ -220,11 +207,10 @@ class DecompositionCache:
             exact=lower >= upper,
             ordering=(
                 None
-                if metric == "hw"
+                if ordering is None
                 else tuple(form.map_ordering_in(ordering))
             ),
             backend=backend,
-            solve_seconds=solve_seconds,
         )
         self._entries[(metric, form.key)] = entry
         self._entries.move_to_end((metric, form.key))

@@ -35,8 +35,9 @@ import asyncio
 import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..decomposition import TreeDecomposition
 from ..hypergraph.hypergraph import Hypergraph
 from ..portfolio.runner import PortfolioError, run_portfolio
 from ..portfolio.shared import SharedBounds
@@ -82,15 +83,15 @@ class ServiceConfig:
 @dataclass
 class SolveOutcome:
     """What a solver hands back to the service (a thin, picklable slice
-    of :class:`~repro.portfolio.runner.PortfolioResult`)."""
+    of :class:`~repro.portfolio.runner.PortfolioResult`): ``witness`` is
+    the decomposition behind ``upper``, ``ordering`` the elimination
+    ordering served with it, if any."""
 
     upper: Width | None
     lower: Width
     ordering: list | None
     backend: str
-    exact: bool
-    # hw witnesses are decomposition payloads, not orderings.
-    witness: dict | None = None
+    witness: TreeDecomposition | None = None
 
 
 def portfolio_solver(structure, metric, budget, shared, config):
@@ -115,7 +116,6 @@ def portfolio_solver(structure, metric, budget, shared, config):
         lower=result.lower_bound,
         ordering=result.ordering,
         backend=result.best_backend,
-        exact=result.exact,
         witness=result.witness,
     )
 
@@ -458,7 +458,6 @@ class DecompositionService:
         shared = SharedBounds(multiprocessing.get_context())
         self.solves += 1
         self.metrics.counter("service.solves").inc()
-        started = time.monotonic()
         future = loop.run_in_executor(
             self._executor,
             self.solver, structure, metric, budget, shared, self.config,
@@ -489,14 +488,7 @@ class DecompositionService:
             return error_response(
                 SOLVER_ERROR, f"{type(exc).__name__}: {exc}"
             )
-        solve_seconds = time.monotonic() - started
-
-        witnessed = (
-            outcome.witness is not None
-            if metric == "hw"
-            else outcome.ordering is not None
-        )
-        if outcome.upper is None or not witnessed:
+        if outcome.upper is None or outcome.witness is None:
             # Witness-free bracket (e.g. every worker died and the
             # channel carried the incumbent): serve it, don't cache it.
             return self._bracket_response(
@@ -508,13 +500,8 @@ class DecompositionService:
                 metric, form, structure,
                 upper=outcome.upper,
                 lower=outcome.lower,
-                ordering=(
-                    None
-                    if outcome.ordering is None
-                    else list(outcome.ordering)
-                ),
+                ordering=outcome.ordering,
                 backend=outcome.backend,
-                solve_seconds=solve_seconds,
                 witness=outcome.witness,
             )
         except CertificateRejected as exc:

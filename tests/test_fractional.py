@@ -337,9 +337,10 @@ class TestGaRationalReporting:
             generations_run=1,
             evaluations=3,
         )
-        report = _ga_report("ga-fhw", result)
+        report = _ga_report("ga-fhw", "fhw", triangle(), result)
         assert report.upper_bound == Fraction(3, 2)
         assert not isinstance(report.upper_bound, float)
+        assert report.witness.fhw_width == Fraction(3, 2)
 
     def test_ga_fhw_publishes_exact_widths(self):
         from repro.genetic import GAParameters, ga_fhw

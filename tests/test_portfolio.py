@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.decomposition import elimination_bags
 from repro.genetic import GAParameters, ga_treewidth
 from repro.hypergraph import Graph, Hypergraph
 from repro.hypergraph.generators import cycle_graph
@@ -27,7 +28,9 @@ from repro.portfolio import (
     resolve_backends,
     run_portfolio,
 )
+from repro.service.cache import WITNESS_TYPES
 from repro.telemetry import read_jsonl
+from repro.verify.certificate import certify
 from repro.search import (
     BoundHooks,
     SearchBudget,
@@ -219,10 +222,16 @@ class TestBackendReports:
         assert report.exact == (report.lower_bound >= report.upper_bound)
         assert report.nodes == 0
         if metric == "hw":
-            assert report.ordering is None and report.witness is not None
+            assert report.ordering is None
         else:
             assert sorted(report.ordering) == sorted(structure.vertex_list())
-            assert report.witness is None
+            assert report.witness.bags == elimination_bags(
+                structure, report.ordering
+            )
+        assert type(report.witness) is WITNESS_TYPES[metric]
+        assert certify(
+            report.witness, structure, claimed_width=report.upper_bound
+        ).ok
 
     @pytest.mark.parametrize("name,structure,ordering", [
         ("min-fill", Graph(), []),

@@ -16,8 +16,8 @@ import pytest
 
 from repro.bounds import min_fill_ordering
 from repro.decomposition import (
-    fhd_from_ordering,
-    ghw_ordering_width,
+    bucket_elimination,
+    elimination_bags,
     ordering_width,
 )
 from repro.hypergraph import Hypergraph
@@ -27,6 +27,7 @@ from repro.hypergraph.generators import (
     random_gnm_graph,
 )
 from repro.instances import get_instance
+from repro.portfolio.backends import _certificate
 from repro.portfolio.runner import run_portfolio
 from repro.service import (
     CertificateRejected,
@@ -39,27 +40,28 @@ from repro.service import (
     canonical_form,
     replay_responses,
 )
-from repro.setcover import exact_set_cover
 from repro.telemetry import JsonlTracer, read_jsonl
 from repro.telemetry.schema import validate_records
+from repro.verify.certificate import certify
 from tests.conftest import make_covered_hypergraph
 from tests.test_canonical import relabeled_copy
 
 
+def witness_of(structure, metric, ordering):
+    """The decomposition a portfolio backend ships for ``ordering``, and
+    its width."""
+    witness = _certificate(metric, structure, ordering)
+    return witness, certify(witness, structure).measured_width
+
+
 def honest_outcome(structure, metric) -> SolveOutcome:
-    """A fast, certifiable answer: min-fill ordering, honest width."""
+    """A fast, certifiable answer: min-fill ordering, the decomposition
+    it builds, honest width."""
     ordering = list(min_fill_ordering(structure))
-    if metric == "tw":
-        upper = ordering_width(structure, ordering)
-    elif metric == "ghw":
-        upper = ghw_ordering_width(
-            structure, ordering, cover_function=exact_set_cover
-        )
-    else:
-        upper = fhd_from_ordering(structure, ordering).fhw_width
+    witness, upper = witness_of(structure, metric, ordering)
     return SolveOutcome(
         upper=upper, lower=0, ordering=ordering, backend="quick",
-        exact=False,
+        witness=witness,
     )
 
 
@@ -419,27 +421,179 @@ class TestFaultInjection:
         g = random_gnm_graph(8, 14, seed=9)
         form = canonical_form(g)
         ordering = list(min_fill_ordering(g))
-        true_width = ordering_width(g, ordering)
+        witness, true_width = witness_of(g, "tw", ordering)
         with pytest.raises(CertificateRejected):
             cache.insert(
                 "tw", form, g, upper=true_width - 1, lower=0,
-                ordering=ordering, backend="doctored",
+                ordering=ordering, backend="doctored", witness=witness,
             )
         with pytest.raises(CertificateRejected):
             cache.insert(
                 "tw", form, g, upper=true_width, lower=0,
                 ordering=ordering[1:],  # missing vertex
-                backend="doctored",
+                backend="doctored", witness=witness,
             )
         assert cache.stats()["rejected"] == 2
         assert len(cache) == 0
         # The honest insert still goes through afterwards.
         entry = cache.insert(
             "tw", form, g, upper=true_width, lower=0,
-            ordering=ordering, backend="honest",
+            ordering=ordering, backend="honest", witness=witness,
         )
         assert entry.upper == true_width
         assert cache.lookup("tw", form) is entry
+
+
+# ----------------------------------------------------------------------
+# The verify-on-insert gate: each doctored answer is checked, not re-solved
+# ----------------------------------------------------------------------
+
+
+def drop_lambda_edge(outcome):
+    """The ``drop-lambda-edge`` fuzz fault: one hyperedge leaves the
+    largest λ-label (an exact cover minus an edge misses a bag vertex)."""
+    witness = outcome.witness.copy()
+    node = max(sorted(witness.nodes, key=repr),
+               key=lambda n: len(witness.cover(n)))
+    witness.set_cover(node, sorted(witness.cover(node), key=repr)[1:])
+    return dataclasses.replace(outcome, witness=witness)
+
+
+def shave_weight(outcome):
+    """The ``fhw-weight-shave`` fuzz fault: one positive γ weight of an
+    LP-optimal bag drops to 0 (the width shrinks; coverage breaks)."""
+    witness = outcome.witness.copy()
+    node = sorted(witness.nodes, key=repr)[0]
+    gamma = witness.weight_function(node)
+    gamma[min((e for e, w in gamma.items() if w > 0), key=repr)] = 0
+    witness.set_weights(node, gamma)
+    return dataclasses.replace(outcome, witness=witness)
+
+
+def swap_ends(outcome):
+    """A permutation, not a truncation: the first and last vertices
+    trade places, so the served ordering's elimination bags are no longer
+    the (still valid) witness's bags on a clique-like primal graph."""
+    ordering = list(outcome.ordering)
+    ordering[0], ordering[-1] = ordering[-1], ordering[0]
+    return dataclasses.replace(outcome, ordering=ordering)
+
+
+def overclaim(outcome):
+    return dataclasses.replace(outcome, upper=outcome.upper - 1)
+
+
+def no_witness(outcome):
+    return dataclasses.replace(outcome, witness=None)
+
+
+GATE_CASES = [
+    ("ghw", drop_lambda_edge),
+    ("fhw", shave_weight),
+    ("ghw", swap_ends),
+    ("fhw", overclaim),
+]
+# What the gate must say about each case: the right check caught it.
+GATE_REASONS = {
+    drop_lambda_edge: "not covered by λ",
+    shave_weight: "coverage below 1",
+    swap_ends: "elimination bags are not the witness's bags",
+    overclaim: "claimed γ-width",
+    no_witness: "witness, not NoneType",
+}
+
+
+class TestInsertGate:
+    @pytest.mark.parametrize(
+        "metric,doctor", GATE_CASES + [("fhw", no_witness)],
+        ids=lambda case: getattr(case, "__name__", case),
+    )
+    def test_cache_rejects_and_stays_unchanged(self, metric, doctor):
+        cache = DecompositionCache(capacity=8)
+        kept = _insert_path(cache, 5)
+        before = (cache.keys(), cache.stats())
+        fano = fano_plane_hypergraph()
+        form = canonical_form(fano)
+        honest = honest_outcome(fano, metric)
+        doctored = doctor(honest)
+        if doctor is swap_ends:
+            # Guard the case itself: the swap must change the bags
+            # while the witness stays valid.
+            assert elimination_bags(fano, doctored.ordering) != (
+                honest.witness.bags
+            )
+        with pytest.raises(CertificateRejected, match=GATE_REASONS[doctor]):
+            cache.insert(
+                metric, form, fano, upper=doctored.upper, lower=0,
+                ordering=doctored.ordering, backend="doctored",
+                witness=doctored.witness,
+            )
+        assert cache.keys() == before[0]
+        assert cache.stats() == dict(before[1], rejected=1)
+        assert cache.lookup(metric, form) is None
+        assert cache.lookup("tw", kept) is not None
+        # The honest answer it was doctored from goes through.
+        entry = cache.insert(
+            metric, form, fano, upper=honest.upper, lower=0,
+            ordering=honest.ordering, backend="honest",
+            witness=honest.witness,
+        )
+        assert entry.upper == honest.upper
+
+    def test_witness_of_another_metric_is_rejected(self):
+        # fano has tw 6 but ghw 3: certify would measure a GHD's λ-width
+        # and pass a tw claim of 3 if the gate accepted any class.
+        cache = DecompositionCache(capacity=4)
+        fano = fano_plane_hypergraph()
+        ordering = list(min_fill_ordering(fano))
+        ghd, ghw = witness_of(fano, "ghw", ordering)
+        with pytest.raises(CertificateRejected, match="needs a TreeDecomp"):
+            cache.insert(
+                "tw", canonical_form(fano), fano, upper=ghw, lower=0,
+                ordering=ordering, backend="doctored", witness=ghd,
+            )
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize(
+        "metric,doctor", GATE_CASES,
+        ids=lambda case: getattr(case, "__name__", case),
+    )
+    def test_server_answers_certificate_rejected(self, metric, doctor):
+        async def main():
+            service = make_service(CountingSolver(mutate=doctor))
+            edges = [
+                sorted(members)
+                for members in fano_plane_hypergraph().edges.values()
+            ]
+            response = await service.handle_request({
+                "op": "solve", "metric": metric, "edges": edges,
+            })
+            assert response["status"] == "error"
+            assert response["code"] == "certificate-rejected"
+            assert GATE_REASONS[doctor] in response["error"]
+            assert service.cache.stats()["rejected"] == 1
+            assert len(service.cache) == 0
+            await service.close()
+
+        run(main())
+
+    def test_missing_witness_is_an_uncached_bracket(self):
+        async def main():
+            service = make_service(CountingSolver(mutate=no_witness))
+            request = {
+                "op": "solve", "metric": "tw",
+                "edges": [[1, 2], [2, 3], [3, 1], [3, 4]],
+            }
+            response = await service.handle_request(request)
+            assert response["status"] == "bracket"
+            assert response["certified"] is False
+            assert response["ordering"] is None
+            assert response["upper_bound"] == 2
+            assert len(service.cache) == 0
+            assert service.cache.stats()["rejected"] == 0
+            await service.close()
+
+        run(main())
 
 
 # ----------------------------------------------------------------------
@@ -451,9 +605,10 @@ def _insert_path(cache: DecompositionCache, n: int):
     g = path_graph(n)
     form = canonical_form(g)
     ordering = list(min_fill_ordering(g))
+    witness, width = witness_of(g, "tw", ordering)
     cache.insert(
-        "tw", form, g, upper=ordering_width(g, ordering), lower=1,
-        ordering=ordering, backend="test",
+        "tw", form, g, upper=width, lower=1,
+        ordering=ordering, backend="test", witness=witness,
     )
     return form
 
@@ -476,12 +631,10 @@ class TestCacheSemantics:
         h = make_covered_hypergraph(6, 8, seed=1)
         form = canonical_form(h)
         ordering = list(min_fill_ordering(h))
+        witness, width = witness_of(h, "ghw", ordering)
         cache.insert(
-            "ghw", form, h,
-            upper=ghw_ordering_width(
-                h, ordering, cover_function=exact_set_cover
-            ),
-            lower=0, ordering=ordering, backend="test",
+            "ghw", form, h, upper=width, lower=0, ordering=ordering,
+            backend="test", witness=witness,
         )
         assert cache.lookup("tw", form) is None
         assert cache.lookup("ghw", form) is not None
@@ -502,7 +655,7 @@ class TestCacheSemantics:
         ordering = list(min_fill_ordering(g))
         entry = cache.insert(
             "tw", form, g, upper=1, lower=7, ordering=ordering,
-            backend="test",
+            backend="test", witness=bucket_elimination(g, ordering),
         )
         assert entry.lower == entry.upper == 1
         assert entry.exact
