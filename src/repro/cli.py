@@ -348,6 +348,10 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
         if report.error is not None:
             print(f"  {name:12s} error: {report.error}")
             continue
+        if report.stopped:
+            print(f"  {name:12s} stopped: race decided elsewhere "
+                  f"{report.elapsed_seconds:.2f}s")
+            continue
         lower = "-" if report.lower_bound is None else str(report.lower_bound)
         flags = []
         if report.exact:

@@ -122,7 +122,7 @@ class FractionalHypertreeDecomposition(GeneralizedHypertreeDecomposition):
 
 
 def fhd_from_ordering(
-    hypergraph: Hypergraph, ordering: Sequence[Vertex]
+    hypergraph: Hypergraph, ordering: Sequence[Vertex], engine=None
 ) -> FractionalHypertreeDecomposition:
     """Build a fractional hypertree decomposition from an elimination
     ordering: bucket elimination for the tree and bags, then the exact
@@ -131,7 +131,10 @@ def fhd_from_ordering(
     The result's :attr:`~FractionalHypertreeDecomposition.fhw_width` is
     exactly ``width_f(ordering, H) = max_bag ρ*(bag)``, so minimizing it
     over orderings reaches ``fhw(H)`` — the certificate the fhw searches
-    hand back.
+    hand back.  ``engine`` (the
+    :class:`~repro.setcover.bitcover.BitCoverEngine` of the search that
+    found ``ordering``) answers each bag's LP, reusing the ones that
+    search already solved.
     """
     from ..setcover.fractional import fractional_set_cover
 
@@ -141,7 +144,10 @@ def fhd_from_ordering(
     for node in td.nodes:
         bag = td.bag(node)
         if bag not in memo:
-            _value, weights = fractional_set_cover(bag, hypergraph)
+            if engine is None:
+                _value, weights = fractional_set_cover(bag, hypergraph)
+            else:
+                _value, weights = engine.fractional_cover(engine.mask_of(bag))
             memo[bag] = weights
         fhd.add_node(node, bag=bag, weights=memo[bag])
     for a, b in td.tree_edges():

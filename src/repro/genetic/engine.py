@@ -99,21 +99,32 @@ def run_permutation_ga(
     improvement of the best fitness is published as an upper bound, and
     the run stops early — ``stopped_by_bound`` — once an externally
     proven lower bound meets the best fitness (the bound cannot improve
-    further, so the remaining generations are wasted work).
+    further, so the remaining generations are wasted work).  The race's
+    stop word is also read before every individual is scored (one
+    GA-fhw evaluation can cost several milliseconds of LP solves); once
+    it is set the run raises :class:`~repro.search.common.RaceStopped`.
 
-    ``fitness_batch`` replaces the one-by-one evaluation of a whole
-    population (same values as mapping ``fitness``, position for
-    position); incremental evaluators use it to pick the evaluation
-    order that maximizes shared state between individuals.  The GA's
-    behaviour must not change: the evolutionary loop consumes no
-    randomness during evaluation, so any evaluation order is legal.
+    ``fitness_batch(individuals, poll)`` replaces the one-by-one
+    evaluation of a whole population (same values as mapping
+    ``fitness``, position for position) and calls ``poll`` (when not
+    None) before scoring each individual; incremental evaluators
+    use it to pick the evaluation order that maximizes shared state
+    between individuals.  The GA's behaviour must not change: the
+    evolutionary loop consumes no randomness during evaluation, so any
+    evaluation order is legal.
     """
     parameters.validate()
+    poll = hooks.check_stop if hooks is not None else None
 
     def evaluate(individuals: list[list]) -> list[float]:
         if fitness_batch is not None:
-            return list(fitness_batch(individuals))
-        return [fitness(ind) for ind in individuals]
+            return list(fitness_batch(individuals, poll))
+        values = []
+        for individual in individuals:
+            if poll is not None:
+                poll()
+            values.append(fitness(individual))
+        return values
 
     tracer = hooks.tracer if hooks is not None else NULL_TRACER
     tracing = bool(getattr(tracer, "enabled", False))

@@ -29,6 +29,7 @@ indirect propagation — ``vertex_elimination`` is property-tested against
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 
 from ..decomposition.elimination import OrderingEvaluator, elimination_bags
 from ..hypergraph.bitgraph import BitGraph
@@ -177,13 +178,18 @@ class PrefixGhwEvaluator:
         self._present = present
         return width
 
-    def evaluate_population(self, population: list[list]) -> list[Width]:
+    def evaluate_population(
+        self, population: list[list], poll: Callable[[], None] | None = None
+    ) -> list[Width]:
         """Fitnesses of a whole generation, scored in prefix-friendly
-        order, reported in the population's order."""
+        order, reported in the population's order; ``poll`` (the race's
+        stop check) runs before each individual is scored."""
         as_bits = [self.order_bits(ind) for ind in population]
         order = sorted(range(len(population)), key=as_bits.__getitem__)
         fitnesses: list[Width] = [0] * len(population)
         for i in order:
+            if poll is not None:
+                poll()
             fitnesses[i] = self._fitness_bits(as_bits[i])
         return fitnesses
 
@@ -231,6 +237,8 @@ def ga_ghw(
         seed_individuals,
     )
     if rescore_exact and result.best_individual:
+        if hooks is not None:
+            hooks.check_stop()
         bags = elimination_bags(hypergraph, result.best_individual)
         exact_width = max(
             len(exact_set_cover(bag, hypergraph, max_nodes=20000))

@@ -706,6 +706,8 @@ def balanced_ghw(
             core.deadline = start + config.max_seconds
         k = width - 1
         while k >= lower:
+            if hooks is not None:
+                hooks.check_stop()
             if hooks is not None and hooks.poll_upper is not None:
                 external = hooks.poll_upper()
                 if external is not None and external <= k:

@@ -12,6 +12,11 @@ The ``min-fill`` backend is the portfolio's seed: it computes the greedy
 heuristic bounds in milliseconds and publishes them, so the expensive
 searches start with a tight incumbent no matter which worker wins the
 scheduling race.
+
+Every default backend's solver module is imported here, at module
+level: the runner forks its workers from a process that has imported
+this module, so no worker pays a solver import of its own.  Only the
+opt-in ``balanced-ghw`` imports :mod:`repro.parallel` when it runs.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import partial
 
 from ..bounds.ghw_lower import ghw_lower_bound
 from ..bounds.lower import minor_gamma_r, minor_min_width
-from ..bounds.upper import best_heuristic_ordering
+from ..bounds.upper import best_heuristic_ordering, min_fill_ordering
 from ..decomposition import (
     TreeDecomposition,
     bucket_elimination,
@@ -31,10 +36,12 @@ from ..decomposition import (
     ghd_from_ordering,
     ghw_ordering_width,
 )
+from ..decomposition.htd import htd_from_ordering
 from ..genetic import GAParameters, ga_fhw, ga_ghw, ga_treewidth
 from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
+from ..sat import cdcl_hypertree_width
 from ..search import (
     BoundHooks,
     SearchBudget,
@@ -43,9 +50,11 @@ from ..search import (
     astar_treewidth,
     branch_and_bound_ghw,
     branch_and_bound_treewidth,
+    opt_k_decomp,
 )
 from ..search.ghw_common import GhwSearchContext, initial_ghw_bounds
 from ..setcover import exact_set_cover
+from ..setcover.bitcover import BitCoverEngine
 from ..verify.certificate import assert_certified
 from ..widths import Width, as_width
 
@@ -96,7 +105,10 @@ class BackendReport:
     worker-local bound stream (filled in by the runner's worker shim,
     which also stamps ``elapsed_seconds`` with the worker's wall time).
     ``error`` marks a worker that raised — the bound fields are then
-    meaningless.
+    meaningless.  ``stopped`` marks a worker that abandoned its run
+    because the race was decided elsewhere: it carries no bounds and no
+    witness, so a report is either complete or stopped, never a bound
+    without its witness.
     """
 
     backend: str
@@ -108,6 +120,7 @@ class BackendReport:
     elapsed_seconds: float = 0.0
     stopped_by_bound: bool = False
     error: str | None = None
+    stopped: bool = False
     events: list = field(default_factory=list)
     trace_records: list = field(default_factory=list)
     witness: TreeDecomposition | None = None
@@ -121,9 +134,17 @@ def _budget(config: BackendConfig, hooks: BoundHooks) -> SearchBudget:
     )
 
 
-def _certificate(kind: str, structure, ordering) -> TreeDecomposition | None:
+def _certificate(
+    kind: str, structure, ordering, hooks: BoundHooks | None = None,
+    engine: BitCoverEngine | None = None,
+) -> TreeDecomposition | None:
     """The decomposition a tw, ghw or fhw ``ordering`` witnesses, built
-    in the worker so the verify-on-insert gate only checks it."""
+    in the worker so the verify-on-insert gate only checks it.  A race
+    decided elsewhere raises :class:`RaceStopped` here, before any
+    witness work.  ``engine`` is the fhw solver's cover engine: its
+    solved LPs give the witness's weights."""
+    if hooks is not None:
+        hooks.check_stop()
     if ordering is None:
         return None
     if kind == "tw":
@@ -135,10 +156,13 @@ def _certificate(kind: str, structure, ordering) -> TreeDecomposition | None:
             _as_hypergraph(structure), ordering,
             cover_function=exact_set_cover,
         )
-    return fhd_from_ordering(_as_hypergraph(structure), ordering)
+    return fhd_from_ordering(_as_hypergraph(structure), ordering, engine)
 
 
-def _search_report(name: str, kind: str, structure, result) -> BackendReport:
+def _search_report(
+    name: str, kind: str, structure, result, hooks: BoundHooks | None = None,
+    engine: BitCoverEngine | None = None,
+) -> BackendReport:
     ordering = list(result.ordering) if result.ordering is not None else None
     return BackendReport(
         backend=name,
@@ -147,11 +171,14 @@ def _search_report(name: str, kind: str, structure, result) -> BackendReport:
         ordering=ordering,
         exact=result.exact,
         nodes=result.stats.nodes_expanded,
-        witness=_certificate(kind, structure, ordering),
+        witness=_certificate(kind, structure, ordering, hooks, engine),
     )
 
 
-def _ga_report(name: str, kind: str, structure, result) -> BackendReport:
+def _ga_report(
+    name: str, kind: str, structure, result, hooks: BoundHooks | None = None,
+    engine: BitCoverEngine | None = None,
+) -> BackendReport:
     # as_width, not int(): truncating a rational fitness (int(3/2) == 1)
     # would report an unwitnessed — unsound — upper bound.
     ordering = list(result.best_individual) or None
@@ -163,7 +190,7 @@ def _ga_report(name: str, kind: str, structure, result) -> BackendReport:
         exact=False,
         nodes=result.evaluations,
         stopped_by_bound=result.stopped_by_bound,
-        witness=_certificate(kind, structure, ordering),
+        witness=_certificate(kind, structure, ordering, hooks, engine),
     )
 
 
@@ -196,7 +223,7 @@ def _run_astar_tw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("astar-tw", "tw", structure, result)
+    return _search_report("astar-tw", "tw", structure, result, hooks)
 
 
 def _run_bb_tw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -205,7 +232,7 @@ def _run_bb_tw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("bb-tw", "tw", structure, result)
+    return _search_report("bb-tw", "tw", structure, result, hooks)
 
 
 def _run_ga_tw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -217,7 +244,7 @@ def _run_ga_tw(structure, config: BackendConfig, hooks: BoundHooks):
         hooks=hooks,
         seed_individuals=_warm_seeds(config),
     )
-    return _ga_report("ga-tw", "tw", structure, result)
+    return _ga_report("ga-tw", "tw", structure, result, hooks)
 
 
 # -- ghw backends -------------------------------------------------------
@@ -229,7 +256,7 @@ def _run_bb_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("bb-ghw", "ghw", structure, result)
+    return _search_report("bb-ghw", "ghw", structure, result, hooks)
 
 
 def _run_astar_ghw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -238,7 +265,7 @@ def _run_astar_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
     )
-    return _search_report("astar-ghw", "ghw", structure, result)
+    return _search_report("astar-ghw", "ghw", structure, result, hooks)
 
 
 def _run_ga_ghw(structure, config: BackendConfig, hooks: BoundHooks):
@@ -250,7 +277,7 @@ def _run_ga_ghw(structure, config: BackendConfig, hooks: BoundHooks):
         hooks=hooks,
         seed_individuals=_warm_seeds(config),
     )
-    return _ga_report("ga-ghw", "ghw", structure, result)
+    return _ga_report("ga-ghw", "ghw", structure, result, hooks)
 
 
 # -- hw backends --------------------------------------------------------
@@ -260,8 +287,6 @@ def _run_optk_hw(structure, config: BackendConfig, hooks: BoundHooks):
     """opt-k-decomp: the descending certified ladder with cross-rung
     (component, connector) dominance records.  Publishes every rung's
     certified incumbent and consumes external bounds between rungs."""
-    from ..search.optkdecomp import opt_k_decomp
-
     hypergraph = _as_hypergraph(structure)
     result = opt_k_decomp(
         hypergraph,
@@ -286,8 +311,6 @@ def _run_cdcl_hw(structure, config: BackendConfig, hooks: BoundHooks):
     """The pure-python CDCL backend: one hw formula, incremental
     k-ladder assumptions, learned clauses shared across rungs.  The
     conflict budget plays the role of the node budget."""
-    from ..sat import cdcl_hypertree_width
-
     hypergraph = _as_hypergraph(structure)
     result = cdcl_hypertree_width(
         hypergraph,
@@ -312,24 +335,32 @@ def _run_cdcl_hw(structure, config: BackendConfig, hooks: BoundHooks):
 
 
 def _run_astar_fhw(structure, config: BackendConfig, hooks: BoundHooks):
+    hypergraph = _as_hypergraph(structure)
+    engine = BitCoverEngine(hypergraph)
     result = astar_fhw(
-        _as_hypergraph(structure),
+        hypergraph,
         budget=_budget(config, hooks),
         rng=random.Random(config.seed),
+        engine=engine,
     )
-    return _search_report("astar-fhw", "fhw", structure, result)
+    return _search_report(
+        "astar-fhw", "fhw", structure, result, hooks, engine
+    )
 
 
 def _run_ga_fhw(structure, config: BackendConfig, hooks: BoundHooks):
+    hypergraph = _as_hypergraph(structure)
+    engine = BitCoverEngine(hypergraph)
     result = ga_fhw(
-        _as_hypergraph(structure),
+        hypergraph,
         _ga_parameters(config),
         rng=random.Random(config.seed),
         max_seconds=None if config.deterministic else config.max_seconds,
         hooks=hooks,
+        engine=engine,
         seed_individuals=_warm_seeds(config),
     )
-    return _ga_report("ga-fhw", "fhw", structure, result)
+    return _ga_report("ga-fhw", "fhw", structure, result, hooks, engine)
 
 
 # -- min-fill seed backends ---------------------------------------------
@@ -352,9 +383,6 @@ def _minfill_hw_bounds(hypergraph: Hypergraph, rng: random.Random):
     """A certified ``htd_from_ordering`` witness on the min-fill
     ordering for the upper bound, the ghw lower-bound battery
     (ghw ≤ hw) for the lower."""
-    from ..bounds.upper import min_fill_ordering
-    from ..decomposition.htd import htd_from_ordering
-
     lb = ghw_lower_bound(hypergraph, rng)
     htd = htd_from_ordering(hypergraph, min_fill_ordering(hypergraph, rng))
     assert_certified(htd, hypergraph, "min-fill hw witness")
@@ -403,7 +431,7 @@ def _run_minfill(
     if hooks.publish_upper is not None:
         hooks.publish_upper(ub)
     if witness is None:
-        witness = _certificate(metric, structure, ordering)
+        witness = _certificate(metric, structure, ordering, hooks)
     return BackendReport(
         backend=name,
         upper_bound=ub,

@@ -13,10 +13,14 @@ Scheduling is wave-based: at most ``jobs`` workers run concurrently;
 when one finishes the next queued backend starts (inheriting whatever
 bounds the finished workers left in the channel).  Once a finished
 report witnesses the optimum — it is exact, or its upper bound meets
-the channel's proven lower bound — the queued backends are skipped:
-they could only repeat a closed bracket.  A worker that raises is
-reported as an error and the race goes on; a worker that exceeds its
-grace period (twice the budget plus slack) is terminated.
+the channel's proven lower bound — the race is decided: the queued
+backends are skipped, and the runner writes the channel's stop word.
+Running workers read it at their next poll, build no witness and send
+a stopped report (no bounds), so the call returns within a poll of the
+proof with every worker exited on its own — no signal is sent on this
+path.  A worker that raises is reported as an error and the race goes
+on; a worker that exceeds its grace period (twice the budget plus
+slack) is terminated.
 
 ``deterministic=True`` makes the outcome a pure function of the seeds:
 workers run isolated (no live bound exchange), wall-clock budgets are
@@ -35,6 +39,7 @@ from dataclasses import dataclass, replace
 from ..decomposition import TreeDecomposition
 from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
+from ..search.common import RaceStopped
 from ..telemetry import NULL_TRACER, MemoryTracer, merge_records, write_jsonl
 from ..widths import Width
 from .backends import (
@@ -131,7 +136,8 @@ def _worker_main(name, structure, config, shared, report_queue, t0):
     """Process entry point: run one backend, send its report home.
 
     Every exception becomes an error report — a failing backend must
-    never take the portfolio down with it.  Every report, error or not,
+    never take the portfolio down with it — except :class:`RaceStopped`,
+    which becomes a stopped report.  Every report, error or not,
     carries the worker's wall time in ``elapsed_seconds``.  Traced runs
     buffer records locally (a worker cannot append to the parent's file)
     and ship them home inside the report; the tracer shares the parent's
@@ -150,6 +156,8 @@ def _worker_main(name, structure, config, shared, report_queue, t0):
     try:
         with tracer.span("worker", backend=name, seed=config.seed):
             report = BACKENDS[name].run(structure, config, hooks)
+    except RaceStopped:
+        report = BackendReport(backend=name, stopped=True)
     except Exception as exc:  # noqa: BLE001 — forwarded, not swallowed
         report = BackendReport(
             backend=name, error=f"{type(exc).__name__}: {exc}"
@@ -189,9 +197,11 @@ def run_portfolio(
     bounds are exact ``Fraction``s end to end.  ``backends`` defaults to
     the full backend set for the metric; with fewer ``jobs`` than
     backends the surplus runs in later waves, seeded by the earlier
-    waves' bounds.  A live race skips the waves still queued once a
-    finished report witnesses the optimum; skipped backends are absent
-    from ``reports`` (and traced as ``worker_skipped``).
+    waves' bounds.  A live race is decided once a finished report
+    witnesses the optimum: the waves still queued are skipped (absent
+    from ``reports``, traced as ``worker_skipped``) and the running
+    workers are told to stop; each sends a ``stopped`` report with no
+    bounds (traced as ``worker_stopped``).
 
     ``initial_upper`` / ``initial_lower`` / ``warm_ordering`` warm-start
     the race (the incremental re-solve path): the upper bound pre-seeds
@@ -211,7 +221,8 @@ def run_portfolio(
     service layer need workers reaped promptly.  ``shared_bounds`` lets
     the caller supply (and keep a handle on) the bound channel, so it
     can watch incumbents live and salvage them if the call is abandoned;
-    incompatible with ``deterministic`` (which runs workers isolated).
+    a channel serves one race (its stop word is never cleared), and it
+    is incompatible with ``deterministic`` (which runs workers isolated).
 
     Deadline expiry degrades gracefully: if every worker was killed or
     crashed before reporting, the best incumbent bracket left in the
@@ -274,6 +285,7 @@ def run_portfolio(
         grace = None if budget_seconds is None else 2.0 * budget_seconds + 30.0
 
     pending = list(enumerate(specs))
+    shared_stopped = False
     running: dict[str, tuple] = {}
     reports: dict[str, BackendReport] = {}
 
@@ -285,7 +297,9 @@ def run_portfolio(
         except queue_module.Empty:
             return False
         reports[report.backend] = report
-        if tracing:
+        if tracing and report.stopped:
+            tracer.event("worker_stopped", backend=report.backend)
+        elif tracing:
             tracer.event(
                 "worker_report",
                 backend=report.backend,
@@ -321,7 +335,9 @@ def run_portfolio(
             deterministic=deterministic,
         ):
             while pending or running:
-                if pending and bracket_closed():
+                if not shared_stopped and bracket_closed():
+                    shared.stop()
+                    shared_stopped = True
                     if tracing:
                         for _, spec in pending:
                             tracer.event("worker_skipped", backend=spec.name)

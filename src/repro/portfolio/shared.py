@@ -18,7 +18,8 @@ that found them: it builds the decomposition witnessing its bound
 hypertree decomposition) and ships it home in its
 :class:`~repro.portfolio.backends.BackendReport`; the aggregator picks
 the certificate matching the winning bound.  This keeps the shared state
-four machine words, so polling is cheap enough for search inner loops.
+four machine words and a stop byte, so polling is cheap enough for
+search inner loops.
 """
 
 from __future__ import annotations
@@ -76,43 +77,82 @@ class SharedBounds:
     ``ctx.Array("q", 2)`` holding ``[numerator, denominator]`` under a
     single lock (the pair must merge atomically); ``denominator == 0``
     means "no bound yet".
+
+    Every lock is taken with a short timeout.  A worker that dies while
+    holding one (killed at its grace period, say) leaves it held for
+    good; the reads then answer None — no bound, never a guess — and a
+    proposal is dropped (its bound still rides home in the report), so
+    neither the runner nor the server's deadline path can wedge on it.
+
+    The stop word is a lock-free byte the runner writes once, when a
+    finished report has proven the answer; workers read it at their
+    polls (:meth:`BoundHooks.check_stop`) and abandon their runs.
     """
 
     def __init__(self, ctx):
         self._ub = ctx.Array("q", [0, 0])
         self._lb = ctx.Array("q", [0, 0])
+        self._stop = ctx.RawValue("b", 0)
 
     # -- worker side ----------------------------------------------------
 
     def propose_upper(self, value: Width) -> bool:
         """Merge a witnessed upper bound; True if it tightened the channel."""
-        num, den = width_ratio(value)
-        with self._ub.get_lock():
-            current_num, current_den = self._ub[0], self._ub[1]
-            if current_den == 0 or num * current_den < current_num * den:
-                self._ub[0], self._ub[1] = num, den
-                return True
-        return False
+        return _merge(self._ub, value, -1)
 
     def propose_lower(self, value: Width) -> bool:
         """Merge a proven lower bound; True if it tightened the channel."""
-        num, den = width_ratio(value)
-        with self._lb.get_lock():
-            current_num, current_den = self._lb[0], self._lb[1]
-            if current_den == 0 or num * current_den > current_num * den:
-                self._lb[0], self._lb[1] = num, den
-                return True
-        return False
+        return _merge(self._lb, value, 1)
 
     def upper(self) -> Width | None:
-        with self._ub.get_lock():
-            num, den = self._ub[0], self._ub[1]
-        return None if den == 0 else from_ratio(num, den)
+        return _read(self._ub)
 
     def lower(self) -> Width | None:
-        with self._lb.get_lock():
-            num, den = self._lb[0], self._lb[1]
-        return None if den == 0 else from_ratio(num, den)
+        return _read(self._lb)
+
+    def stopped(self) -> bool:
+        return bool(self._stop.value)
+
+    # -- runner side ----------------------------------------------------
+
+    def stop(self) -> None:
+        """Tell every worker the race is decided (write-once)."""
+        self._stop.value = 1
+
+
+# Seconds a channel access waits for its lock before giving up.
+LOCK_TIMEOUT = 0.05
+
+
+def _merge(pair, value: Width, direction: int) -> bool:
+    """Store ``value`` in ``pair`` if the pair is empty or ``value`` is
+    tighter: smaller for ``direction=-1``, larger for ``+1`` (compared
+    by cross-multiplication)."""
+    num, den = width_ratio(value)
+    lock = pair.get_lock()
+    if not lock.acquire(timeout=LOCK_TIMEOUT):
+        return False
+    try:
+        current_num, current_den = pair[0], pair[1]
+        if current_den == 0 or direction * (
+            num * current_den - current_num * den
+        ) > 0:
+            pair[0], pair[1] = num, den
+            return True
+        return False
+    finally:
+        lock.release()
+
+
+def _read(pair) -> Width | None:
+    lock = pair.get_lock()
+    if not lock.acquire(timeout=LOCK_TIMEOUT):
+        return None
+    try:
+        num, den = pair[0], pair[1]
+    finally:
+        lock.release()
+    return None if den == 0 else from_ratio(num, den)
 
 
 def make_worker_hooks(
@@ -186,4 +226,5 @@ def make_worker_hooks(
         publish_lower=publish_lower,
         poll_interval=poll_interval,
         tracer=tracer,
+        should_stop=shared.stopped,
     )

@@ -28,6 +28,7 @@ base formula alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..bounds.ghw_lower import ghw_lower_bound
@@ -64,6 +65,10 @@ class HwFormula:
 
     The width-≤-k query is the assumption set ``¬r(i, m-1, k)`` for
     every node i.
+
+    ``stop`` (the portfolio's stop check) is called between the
+    construction's clause families and handed to the solver, which
+    calls it every few conflicts.
     """
 
     def __init__(
@@ -74,6 +79,7 @@ class HwFormula:
         tracer=NULL_TRACER,
         corrupt_learned: bool = False,
         max_clauses: int = DEFAULT_MAX_CLAUSES,
+        stop: Callable[[], None] | None = None,
     ):
         self.hypergraph = hypergraph
         self.vertices = hypergraph.vertex_list()
@@ -86,7 +92,7 @@ class HwFormula:
         self._max_clauses = max_clauses
         self._check_size(n, m)
         self.solver = CDCLSolver(
-            tracer=tracer, corrupt_learned=corrupt_learned
+            tracer=tracer, corrupt_learned=corrupt_learned, stop=stop
         )
         self.num_clauses = 0
         self._ord: dict[tuple[int, int], int] = {}
@@ -140,6 +146,7 @@ class HwFormula:
         n = len(self.vertices)
         m = len(self.edge_items)
         new = self.solver.new_var
+        poll = self.solver.stop or (lambda: None)
         for i in range(n):
             for j in range(i + 1, n):
                 self._ord[(i, j)] = new()
@@ -165,6 +172,7 @@ class HwFormula:
         )
         before = self.before
 
+        poll()
         # (1) σ is a total order: forbid both 3-cycles per triple.
         for i in range(n):
             for j in range(i + 1, n):
@@ -178,6 +186,7 @@ class HwFormula:
             for _, edge in self.edge_items
         ]
 
+        poll()
         for i in range(n):
             for p in range(n):
                 if p == i:
@@ -204,6 +213,7 @@ class HwFormula:
                 # (8) a σ-earlier bag vertex anchors i above node_x.
                 self._add([-bag[(i, x)], before(i, x), anc[(x, i)]])
 
+        poll()
         for i in range(n):
             for p in range(n):
                 if p == i:
@@ -224,6 +234,7 @@ class HwFormula:
                         [-anc[(i, p)], -par[(i, q)], anc[(q, p)]]
                     )
 
+        poll()
         # (6) every hyperedge lives in the bag of its σ-first vertex.
         for ids in edge_vertex_ids:
             for u in ids:
@@ -231,6 +242,7 @@ class HwFormula:
                     if u != v:
                         self._add([-before(u, v), bag[(u, v)]])
 
+        poll()
         # (7) σ-later bag vertices propagate to the parent (upward
         # connectivity; the chain stops at node_x itself).
         for i in range(n):
@@ -249,6 +261,7 @@ class HwFormula:
                         ]
                     )
 
+        poll()
         # (9) σ-earlier bag vertices propagate down the tree path toward
         # node_x: the child of a holder that is itself an ancestor of
         # node_x must hold x too (connectivity below the holder).
@@ -268,6 +281,7 @@ class HwFormula:
                         ]
                     )
 
+        poll()
         # (10) λ covers the bag (GHD condition 3).
         edges_holding = [
             [e for e, ids in enumerate(edge_vertex_ids) if x in ids]
@@ -293,6 +307,7 @@ class HwFormula:
                             [-cov[(i, e)], -anc[(x, i)], bag[(i, x)]]
                         )
 
+        poll()
         # (12) sequential counter over each node's λ selectors.
         for i in range(n):
             for e in range(m):
@@ -423,8 +438,10 @@ def cdcl_hypertree_width(
     ``hooks`` (a :class:`~repro.search.common.BoundHooks`) is polled
     between rungs — an external upper bound restarts the ladder lower,
     an external lower bound can close the bracket — and improvements
-    are published back.  On conflict-budget exhaustion the best
-    certified bracket so far is returned with ``exact=False``.
+    are published back.  Its stop check also runs before and during the
+    formula build and every few conflicts.  On conflict-budget
+    exhaustion the best certified bracket so far is returned with
+    ``exact=False``.
     """
     if hypergraph.num_edges == 0:
         return CdclHwResult(
@@ -457,6 +474,7 @@ def cdcl_hypertree_width(
             max_conflicts=budget_left,
             tracer=tracer,
             hooks=hooks if len(components) == 1 else None,
+            stop=None if hooks is None else hooks.check_stop,
             corrupt_learned=corrupt_learned,
             max_clauses=max_clauses,
         )
@@ -516,6 +534,7 @@ def _solve_component(
     max_conflicts: int | None,
     tracer,
     hooks,
+    stop: Callable[[], None] | None,
     corrupt_learned: bool,
     max_clauses: int,
 ) -> CdclHwResult:
@@ -528,6 +547,8 @@ def _solve_component(
         return CdclHwResult(
             upper=upper, lower=lower, exact=True, decomposition=incumbent
         )
+    if stop is not None:
+        stop()
     try:
         formula = HwFormula(
             hypergraph,
@@ -535,6 +556,7 @@ def _solve_component(
             tracer=tracer,
             corrupt_learned=corrupt_learned,
             max_clauses=max_clauses,
+            stop=stop,
         )
     except EncodingTooLarge:
         return CdclHwResult(
@@ -548,6 +570,8 @@ def _solve_component(
     # UNSAT there already proves hw > max_width.
     k = upper - 1 if max_width is None else min(upper - 1, max_width)
     while k >= lower:
+        if stop is not None:
+            stop()
         if hooks is not None:
             ext_upper = hooks.poll_upper() if hooks.poll_upper else None
             ext_lower = hooks.poll_lower() if hooks.poll_lower else None

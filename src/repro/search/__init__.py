@@ -13,6 +13,7 @@ from .common import (
     BoundsConverged,
     BudgetExceeded,
     GraphReplayer,
+    RaceStopped,
     SearchBudget,
     SearchResult,
     SearchStats,
@@ -37,6 +38,7 @@ __all__ = [
     "GraphReplayer",
     "LadderExhausted",
     "OptKResult",
+    "RaceStopped",
     "SearchBudget",
     "SearchResult",
     "SearchStats",

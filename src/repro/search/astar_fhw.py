@@ -29,6 +29,7 @@ import random
 from ..bounds.upper import best_heuristic_ordering
 from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.hypergraph import Hypergraph
+from ..setcover.bitcover import BitCoverEngine
 from ..setcover.fractional import fractional_set_cover
 from ..telemetry import Metrics
 from ..widths import Width, as_width
@@ -38,6 +39,7 @@ from .common import (
     SearchResult,
     SearchStats,
     brute_force_elimination_width,
+    root_settled,
 )
 from .ghw_common import GhwSearchContext, initial_ghw_bounds
 
@@ -49,12 +51,15 @@ def astar_fhw(
     use_reductions: bool = True,
     use_pr2: bool = True,
     metrics: Metrics | None = None,
+    engine: BitCoverEngine | None = None,
 ) -> SearchResult:
     """Compute ``fhw(H)`` with A* (exact when the budget allows; anytime
     rational upper/lower bounds otherwise).
 
     ``metrics`` receives the ``cover.fractional.*`` counters of the
-    engine's dominance-cached fractional layer.
+    engine's dominance-cached fractional layer.  ``engine`` shares a
+    caller-owned cover engine, whose solved LPs can then certify the
+    result (``fhd_from_ordering(..., engine=engine)``).
     """
     stats = SearchStats()
     isolated = hypergraph.isolated_vertices()
@@ -67,7 +72,7 @@ def astar_fhw(
         return SearchResult(0, 0, hypergraph.vertex_list(), True, stats)
     graph = BitGraph.from_hypergraph(hypergraph)
     context = GhwSearchContext(
-        hypergraph, metrics=metrics, measure="fractional"
+        hypergraph, metrics=metrics, measure="fractional", engine=engine
     )
     all_vertices = graph.vertex_list()
     if graph.num_vertices <= 1:
@@ -77,7 +82,7 @@ def astar_fhw(
     ub_ordering, _tw = best_heuristic_ordering(hypergraph, rng)
     ub = initial_ghw_bounds(hypergraph, context, ub_ordering)
     if lb >= ub:
-        return SearchResult(ub, ub, ub_ordering, True, stats)
+        return root_settled(budget, stats, ub, ub_ordering)
 
     clock = (budget or SearchBudget()).start()
     span = clock.tracer.span(

@@ -27,6 +27,7 @@ from .common import (
     SearchBudget,
     SearchResult,
     SearchStats,
+    root_settled,
 )
 from .ghw_common import GhwSearchContext, initial_ghw_bounds
 from .pruning import pr2_allowed_bit, pr2_rank
@@ -77,7 +78,7 @@ def astar_ghw(
     ub_ordering, _tw = best_heuristic_ordering(hypergraph, rng)
     ub = initial_ghw_bounds(hypergraph, context, ub_ordering)
     if lb >= ub:
-        return SearchResult(ub, ub, ub_ordering, True, stats)
+        return root_settled(budget, stats, ub, ub_ordering)
 
     clock = (budget or SearchBudget()).start()
     span = clock.tracer.span(

@@ -37,6 +37,7 @@ from .common import (
     SearchResult,
     SearchStats,
     brute_force_elimination_width,
+    root_settled,
 )
 from .pruning import pr1_effective_width, pr2_allowed_bit, pr2_rank
 from .reductions import find_simplicial, find_strongly_almost_simplicial
@@ -176,7 +177,7 @@ def astar_treewidth(
     lb = max(minor_min_width(graph, rng), minor_gamma_r(graph, rng))
     ub_ordering, ub = best_heuristic_ordering(graph, rng)
     if lb >= ub:
-        return SearchResult(ub, ub, ub_ordering, True, stats)
+        return root_settled(budget, stats, ub, ub_ordering)
 
     clock = (budget or SearchBudget()).start()
     span = clock.tracer.span(

@@ -32,6 +32,7 @@ from .common import (
     SearchBudget,
     SearchResult,
     SearchStats,
+    root_settled,
 )
 from .pruning import pr1_closes_subtree, pr2_allowed_bit
 
@@ -67,7 +68,7 @@ def branch_and_bound_treewidth(
     lb = max(minor_min_width(graph, rng), minor_gamma_r(graph, rng))
     ub_ordering, ub = best_heuristic_ordering(graph, rng)
     if lb >= ub:
-        return SearchResult(ub, ub, ub_ordering, True, stats)
+        return root_settled(budget, stats, ub, ub_ordering)
 
     clock = (budget or SearchBudget()).start()
     span = clock.tracer.span(

@@ -32,6 +32,16 @@ class BoundsConverged(Exception):
     search.  Only raised when :class:`BoundHooks` are installed."""
 
 
+class RaceStopped(Exception):
+    """The portfolio proved the answer elsewhere: the run is abandoned.
+
+    Raised by :meth:`BoundHooks.check_stop` at a solver's poll points
+    once the runner has written the stop word.  Unlike
+    :class:`BudgetExceeded` no solver catches it — it unwinds to the
+    worker, which ships a report with no bounds (and no witness).
+    """
+
+
 @dataclass
 class BoundHooks:
     """Callbacks wiring a search into an external incumbent channel.
@@ -59,6 +69,8 @@ class BoundHooks:
         tracer: telemetry tap riding the same seam — the portfolio
             installs a per-worker tracer here so solvers trace without
             a second plumbing path.  Defaults to the no-op tracer.
+        should_stop: returns True once the race is decided elsewhere;
+            solvers call :meth:`check_stop` at their existing polls.
     """
 
     poll_upper: Callable[[], int | None] | None = None
@@ -67,6 +79,12 @@ class BoundHooks:
     publish_lower: Callable[[int], None] | None = None
     poll_interval: int = 64
     tracer: object = NULL_TRACER
+    should_stop: Callable[[], bool] | None = None
+
+    def check_stop(self) -> None:
+        """Raise :class:`RaceStopped` once ``should_stop`` says so."""
+        if self.should_stop is not None and self.should_stop():
+            raise RaceStopped
 
 
 @dataclass
@@ -140,10 +158,12 @@ class _BudgetClock:
             self.poll()
 
     def poll(self) -> None:
-        """Refresh the cached external bounds from the hooks."""
+        """Refresh the cached external bounds from the hooks; raise
+        :class:`RaceStopped` once the race is decided elsewhere."""
         hooks = self._hooks
         if hooks is None:
             return
+        hooks.check_stop()
         if hooks.poll_upper is not None:
             value = hooks.poll_upper()
             if value is not None and (
@@ -198,6 +218,21 @@ class _BudgetClock:
     @property
     def elapsed(self) -> float:
         return time.monotonic() - self._start
+
+
+def root_settled(
+    budget: SearchBudget | None, stats: "SearchStats", width: Width,
+    ordering: Sequence[Vertex],
+) -> "SearchResult":
+    """The exact result of a search whose root lower bound already meets
+    its heuristic upper bound (witnessed by ``ordering``).  The width is
+    still published both ways through the budget's hooks, so a
+    portfolio channel learns the proof and the race can end."""
+    clock = (budget or SearchBudget()).start()
+    clock.publish_lower(width)
+    clock.publish_upper(width)
+    clock.finish(stats)
+    return SearchResult(width, width, ordering, True, stats)
 
 
 @dataclass

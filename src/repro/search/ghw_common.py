@@ -58,6 +58,8 @@ class GhwSearchContext:
     ``measure`` selects the bag cost: ``"integral"`` (exact set cover,
     the ghw default) or ``"fractional"`` (the exact rational LP optimum,
     fhw).  Fractional costs are ``int`` or ``Fraction``, never float.
+    ``engine`` shares a caller-owned engine (built over ``hypergraph``)
+    instead of a fresh one.
     """
 
     def __init__(
@@ -65,12 +67,13 @@ class GhwSearchContext:
         hypergraph: Hypergraph,
         metrics: Metrics | None = None,
         measure: str = "integral",
+        engine: BitCoverEngine | None = None,
     ):
         if measure not in ("integral", "fractional"):
             raise ValueError(f"unknown bag-cost measure {measure!r}")
         self.hypergraph = hypergraph
         self.measure = measure
-        self.engine = BitCoverEngine(hypergraph, metrics)
+        self.engine = engine or BitCoverEngine(hypergraph, metrics)
         self._rank_memo: dict[int, int] = {}
 
     # -- covers ---------------------------------------------------------

@@ -195,8 +195,9 @@ def opt_k_decomp(
     ``hw > max_width``.  ``max_states`` bounds the *total* number of
     fresh subproblems across all rungs; on exhaustion the best
     certified bracket so far is returned with ``exact=False``.
-    ``hooks`` is polled between rungs and receives published bound
-    improvements, exactly like the other portfolio searches.
+    ``hooks`` is polled between rungs (its stop check included) and
+    receives published bound improvements, exactly like the other
+    portfolio searches.
 
     Raises :class:`ValueError` for isolated vertices or ``max_width``
     below 1, mirroring :func:`~repro.search.detkdecomp.det_k_decomp`.
@@ -232,6 +233,7 @@ def opt_k_decomp(
     k = upper - 1 if max_width is None else min(upper - 1, max_width)
     while k >= lower:
         if hooks is not None:
+            hooks.check_stop()
             ext_upper = hooks.poll_upper() if hooks.poll_upper else None
             ext_lower = hooks.poll_lower() if hooks.poll_lower else None
             if ext_upper is not None and ext_upper <= k:

@@ -354,6 +354,9 @@ class BitCoverEngine:
             (m.bit_count() for m in self.edge_masks), default=1
         )
         self.cache = CoverCache(metrics)
+        # ``(optimum, weights)`` of every cover LP solved so far, so a
+        # certificate built after a search re-solves none of them.
+        self._fractional_solved: dict[int, tuple[Width, dict]] = {}
 
     # ------------------------------------------------------------------
     # Incremental edits (the EditTicket consumer)
@@ -415,6 +418,9 @@ class BitCoverEngine:
         self.max_edge_size = max(
             (m.bit_count() for m in self.edge_masks), default=1
         )
+        # Weights name edges: drop them all rather than reason about
+        # which survive the edit.
+        self._fractional_solved.clear()
         return self.cache.invalidate_intersecting(touched)
 
     # ------------------------------------------------------------------
@@ -770,7 +776,9 @@ class BitCoverEngine:
                 value = as_width(ceiling)
                 cache.store_fractional(bag_mask, value)
                 return value
-        value, _ = self._fractional_uncached(bag_mask)
+        solved = self._fractional_uncached(bag_mask)
+        self._fractional_solved[bag_mask] = solved
+        value = solved[0]
         cache.c_frac_computed.inc()
         cache.store_fractional(bag_mask, value)
         return value
@@ -780,13 +788,17 @@ class BitCoverEngine:
     ) -> tuple[Width, dict[Hashable, Fraction]]:
         """The optimum and an optimal weight map ``{edge name: weight}``
         (support only) — the certificate payload for
-        :func:`repro.verify.check_fhd`.  Uncached on the weights side
-        (certificates are built once per bag, after the search)."""
+        :func:`repro.verify.check_fhd`.  Reuses the weights of an LP this
+        engine already solved for ``bag_mask``."""
         if not bag_mask:
             return 0, {}
-        value, weights = self._fractional_uncached(bag_mask)
-        self.cache.store_fractional(bag_mask, value)
-        return value, weights
+        solved = self._fractional_solved.get(bag_mask)
+        if solved is None:
+            solved = self._fractional_uncached(bag_mask)
+            self._fractional_solved[bag_mask] = solved
+            self.cache.store_fractional(bag_mask, solved[0])
+        value, weights = solved
+        return value, dict(weights)
 
     def _fractional_uncached(
         self, bag_mask: int

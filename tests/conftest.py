@@ -130,16 +130,40 @@ def _stall_backend(structure, config, hooks):
         time.sleep(0.05)
 
 
+def _lock_stall_backend(structure, config, hooks):
+    """Take the shared channel's upper-bound lock, then hang holding it
+    until the grace period kills the worker: a worker that dies inside
+    the channel lock, which leaves the lock held for good."""
+    channel = hooks.poll_upper.__self__  # the worker's SharedBounds
+    channel._ub.get_lock().acquire()
+    while True:  # pragma: no cover — terminated by the runner
+        time.sleep(0.05)
+
+
+def _poll_until_stopped_backend(structure, config, hooks):
+    """Do no work: only poll the race's stop word until the runner
+    writes it (a loser that honours the stop and nothing else)."""
+    while True:
+        hooks.check_stop()
+        time.sleep(0.001)
+
+
 @pytest.fixture
 def fault_backends(monkeypatch):
-    """Register the ``crash`` and ``stall`` backends for one test.
+    """Register the ``crash``, ``stall``, ``lock-stall`` and
+    ``poll-until-stopped`` backends for one test.
 
     Portfolio workers look their backend up by name in ``BACKENDS``;
     forked workers inherit the patched registry.
     """
     from repro.portfolio.backends import BACKENDS, BackendSpec
 
-    for name, run in (("crash", _crash_backend), ("stall", _stall_backend)):
+    for name, run in (
+        ("crash", _crash_backend),
+        ("stall", _stall_backend),
+        ("lock-stall", _lock_stall_backend),
+        ("poll-until-stopped", _poll_until_stopped_backend),
+    ):
         monkeypatch.setitem(
             BACKENDS, name, BackendSpec(name, _AnyMetric("every"), run)
         )

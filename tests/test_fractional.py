@@ -216,6 +216,27 @@ class TestEngineFractionalLayer:
         assert value == Fraction(3, 2)
         assert sum(weights.values(), Fraction(0)) == value
 
+    def test_fractional_cover_reuses_a_solved_lp(self, monkeypatch):
+        # A certificate built after a search takes its weights from the
+        # LPs the search already solved; an edit forgets them all.
+        h = triangle()
+        engine = BitCoverEngine(h)
+        mask = engine.mask_of({1, 2, 3})
+        solved = engine.fractional_size(mask)
+
+        def unsolvable(bag_mask):
+            raise AssertionError("the LP was solved again")
+
+        monkeypatch.setattr(engine, "_fractional_uncached", unsolvable)
+        value, weights = engine.fractional_cover(mask)
+        assert value == solved == Fraction(3, 2)
+        assert sum(weights.values(), Fraction(0)) == value
+        weights.clear()  # the caller owns its copy
+        assert engine.fractional_cover(mask)[1]
+        monkeypatch.undo()
+        engine.apply_edit(h.add_edge([1, 2, 3], name="t"))
+        assert engine.fractional_cover(mask) == (1, {"t": Fraction(1)})
+
     def test_counters(self):
         metrics = Metrics()
         h = triangle()

@@ -8,7 +8,12 @@ that raises.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -33,7 +38,9 @@ from repro.telemetry import read_jsonl
 from repro.verify.certificate import certify
 from repro.search import (
     BoundHooks,
+    RaceStopped,
     SearchBudget,
+    astar_fhw,
     astar_treewidth,
     branch_and_bound_treewidth,
 )
@@ -87,8 +94,82 @@ class TestSharedBounds:
         hooks = make_worker_hooks(None, recorder)
         assert hooks.poll_upper is None
         assert hooks.poll_lower is None
+        assert hooks.should_stop is None
+        hooks.check_stop()  # no stop word wired: never raises
         hooks.publish_upper(6)
         assert [(e.kind, e.value) for e in recorder.events] == [("ub", 6)]
+
+    def test_stop_word_reaches_worker_hooks(self):
+        shared = SharedBounds(multiprocessing.get_context())
+        hooks = make_worker_hooks(shared, EventRecorder("w", 0.0))
+        assert not shared.stopped()
+        hooks.check_stop()
+        shared.stop()
+        assert shared.stopped() and hooks.should_stop()
+        with pytest.raises(RaceStopped):
+            hooks.check_stop()
+
+    def test_held_lock_reads_as_no_bound(self):
+        # A worker that died inside the channel lock leaves it held:
+        # reads answer None (never a guess) and proposals are dropped,
+        # each after a short wait instead of blocking forever.
+        ctx = multiprocessing.get_context()
+        shared = SharedBounds(ctx)
+        shared.propose_upper(7)
+        shared.propose_lower(3)
+        holder = ctx.Process(
+            target=_hold_locks_forever, args=(shared,), daemon=True
+        )
+        holder.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while shared.upper() is not None or shared.lower() is not None:
+                assert time.monotonic() < deadline
+            started = time.monotonic()
+            assert shared.upper() is None
+            assert shared.lower() is None
+            assert shared.propose_upper(5) is False
+            assert time.monotonic() - started < 2.0
+        finally:
+            holder.kill()
+            holder.join()
+
+    def test_concurrent_merges_lose_no_update(self):
+        # More proposers than cores, each tightening both bounds on every
+        # proposal, interleaved with the others: a lost or torn update
+        # would leave a looser bound than the best one proposed.
+        ctx = multiprocessing.get_context()
+        shared = SharedBounds(ctx)
+        workers = [
+            ctx.Process(target=_propose_many, args=(shared, offset))
+            for offset in range(4)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+            assert not worker.is_alive() and worker.exitcode == 0
+        assert shared.upper() == Fraction(1, 3)
+        assert shared.lower() == Fraction(4 * _PROPOSALS - 2, 3)
+
+
+_PROPOSALS = 3000
+
+
+def _propose_many(shared, offset):
+    # Worker ``offset`` proposes 4i + offset + 1 (over 3) downwards as
+    # upper bounds and upwards as lower bounds.
+    for i in range(_PROPOSALS):
+        down = _PROPOSALS - 1 - i
+        shared.propose_upper(Fraction(4 * down + offset + 1, 3))
+        shared.propose_lower(Fraction(4 * i + offset - 1, 3))
+
+
+def _hold_locks_forever(shared):
+    shared._ub.get_lock().acquire()
+    shared._lb.get_lock().acquire()
+    while True:
+        time.sleep(0.05)
 
 
 class TestBoundInjection:
@@ -472,3 +553,149 @@ class TestWorkerCleanup:
         for process in spawned:
             process.join(timeout=10.0)
         assert not any(process.is_alive() for process in spawned)
+
+
+class TestRaceStop:
+    """A decided race ends at the losers' next poll: no signal, no
+    witness from a loser, no worker alive after the call."""
+
+    @pytest.mark.usefixtures("fault_backends")
+    def test_decided_race_stops_a_polling_loser(self, tmp_path):
+        path = tmp_path / "stop.jsonl"
+        structure = get_instance("myciel3").build()
+        started = time.monotonic()
+        result = run_portfolio(
+            structure, backends=["astar-tw", "poll-until-stopped"],
+            jobs=2, budget_seconds=30.0, grace_seconds=30.0,
+            trace=str(path),
+        )
+        assert time.monotonic() - started < 10.0  # long before the grace
+        assert not multiprocessing.active_children()
+        assert result.exact and result.width == MYCIEL3_TW
+        assert result.best_backend == "astar-tw"
+        assert certify(result.witness, structure, claimed_width=5).ok
+        loser = result.reports["poll-until-stopped"]
+        assert loser.stopped and loser.error is None
+        assert (loser.upper_bound, loser.lower_bound, loser.witness) == (
+            None, None, None
+        )
+        stopped = [
+            r["fields"]["backend"] for r in read_jsonl(path)
+            if r["name"] == "worker_stopped"
+        ]
+        assert stopped == ["poll-until-stopped"]
+
+    def test_fhw_race_stops_the_ga(self):
+        # A*-fhw proves fano at its root; GA-fhw, with a population
+        # whose first evaluation outlasts that proof, is stopped inside
+        # the evaluation and ships no bounds.
+        structure = get_instance("fano").build()
+        shared = SharedBounds(multiprocessing.get_context())
+        result = run_portfolio(
+            structure, metric="fhw", jobs=2, budget_seconds=30.0,
+            ga_population=3000, shared_bounds=shared,
+        )
+        assert not multiprocessing.active_children()
+        assert result.exact and result.width == Fraction(7, 3)
+        assert result.best_backend == "astar-fhw"
+        assert certify(
+            result.witness, structure, claimed_width=Fraction(7, 3)
+        ).ok
+        ga = result.reports["ga-fhw"]
+        assert ga.stopped and ga.error is None
+        assert (ga.upper_bound, ga.lower_bound, ga.witness) == (
+            None, None, None
+        )
+        assert shared.stopped()
+
+    def test_fhw_race_leaves_its_proof_in_the_channel(self):
+        shared = SharedBounds(multiprocessing.get_context())
+        result = run_portfolio(
+            get_instance("fano").build(), metric="fhw", jobs=2,
+            budget_seconds=30.0, shared_bounds=shared,
+        )
+        assert result.exact and result.width == Fraction(7, 3)
+        assert shared.lower() == Fraction(7, 3)
+
+    def test_astar_fhw_publishes_a_root_proof(self):
+        published = []
+        hooks = BoundHooks(
+            publish_upper=lambda v: published.append(("ub", v)),
+            publish_lower=lambda v: published.append(("lb", v)),
+        )
+        result = astar_fhw(
+            get_instance("fano").build(), budget=SearchBudget(hooks=hooks)
+        )
+        assert result.exact and result.width == Fraction(7, 3)
+        assert published == [("lb", Fraction(7, 3)), ("ub", Fraction(7, 3))]
+
+    @pytest.mark.usefixtures("fault_backends")
+    def test_worker_dead_in_the_channel_lock_does_not_wedge(self):
+        # The lock-stall worker takes the channel's upper-bound lock and
+        # is killed at the grace period still holding it.  The race must
+        # still return A*-tw's certified answer instead of blocking on
+        # the lock forever.
+        structure = get_instance("myciel3").build()
+        started = time.monotonic()
+        result = run_portfolio(
+            structure, backends=["astar-tw", "lock-stall"], jobs=2,
+            budget_seconds=1.0, grace_seconds=1.0,
+        )
+        assert time.monotonic() - started < 20.0
+        assert not multiprocessing.active_children()
+        assert result.exact and result.width == MYCIEL3_TW
+        assert result.best_backend == "astar-tw"
+        assert certify(result.witness, structure, claimed_width=5).ok
+        assert "grace period" in result.reports["lock-stall"].error
+
+
+_IMPORT_GUARD = textwrap.dedent("""
+    import sys
+
+    import repro.service.server  # noqa: F401  (the server's import set)
+    from repro.instances import get_instance
+    from repro.portfolio.backends import (
+        BACKENDS, DEFAULT_BACKENDS, BackendConfig,
+    )
+    from repro.portfolio.shared import EventRecorder, make_worker_hooks
+
+    INSTANCES = {
+        "tw": ["myciel3", "grid3"],
+        "ghw": ["fano", "clique_5", "grid2d_4"],
+        "fhw": ["fano", "clique_5", "grid2d_4"],
+        "hw": ["fano", "clique_5", "clique_6", "grid2d_4"],
+    }
+    structures = {
+        metric: [get_instance(name).build() for name in names]
+        for metric, names in INSTANCES.items()
+    }
+    before = set(sys.modules)
+    config = BackendConfig(
+        max_seconds=10.0, ga_population=8, ga_generations=3
+    )
+    for metric, names in DEFAULT_BACKENDS.items():
+        for name in names:
+            for structure in structures[metric]:
+                hooks = make_worker_hooks(None, EventRecorder(name, 0.0))
+                report = BACKENDS[name].run(structure, config, hooks)
+                assert report.witness is not None, name
+    print(sorted(m for m in set(sys.modules) - before
+                 if m.startswith("repro")))
+""")
+
+
+def test_default_backends_import_nothing_in_the_worker():
+    # Workers are forked from a process that imported the server; a
+    # backend that imports a solver module lazily pays that import in
+    # every worker of every race.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
