@@ -12,9 +12,8 @@ exchange.  Two properties are checked:
   report-only below): on at least one instance the portfolio finishes
   faster than some standalone backend.  This is the shared channel
   paying for itself — e.g. the min-fill seed's incumbent lets A* skip
-  most of its frontier, and a search's proven lower bound stops the GA
-  at a generation boundary — not mere parallelism (the CI box has a
-  single core).
+  most of its frontier, and a decided race stops the other searches —
+  not mere parallelism (the CI box has a single core).
 
 Results go to ``benchmarks/results/portfolio.{txt,json}`` with the
 git SHA / seed / scale stamp.  Runs standalone too::

@@ -38,7 +38,6 @@ from .hypergraph import Graph, Hypergraph, parse_dimacs, parse_hypergraph
 from .hypergraph.io import write_tree_decomposition
 from .instances import UnknownInstanceError, get_instance, list_instances
 from .search import (
-    BoundHooks,
     SearchBudget,
     astar_treewidth,
     branch_and_bound_ghw,
@@ -92,7 +91,7 @@ def cmd_tw(args: argparse.Namespace) -> int:
                 GAParameters(population_size=40, generations=60),
                 rng=random.Random(args.seed),
                 max_seconds=args.budget,
-                hooks=BoundHooks(tracer=tracer),
+                tracer=tracer,
             )
             print(f"treewidth <= {result.best_fitness} "
                   f"(GA-tw, {result.evaluations} evaluations)")
@@ -140,7 +139,7 @@ def cmd_ghw(args: argparse.Namespace) -> int:
                 GAParameters(population_size=24, generations=40),
                 rng=random.Random(args.seed),
                 max_seconds=args.budget,
-                hooks=BoundHooks(tracer=tracer),
+                tracer=tracer,
                 metrics=metrics,
             )
             print(f"ghw <= {result.best_fitness} "
@@ -186,7 +185,7 @@ def cmd_fhw(args: argparse.Namespace) -> int:
                 GAParameters(population_size=24, generations=40),
                 rng=random.Random(args.seed),
                 max_seconds=args.budget,
-                hooks=BoundHooks(tracer=tracer),
+                tracer=tracer,
                 metrics=metrics,
             )
             print(f"fhw <= {format_width(result.best_fitness)} "
@@ -353,14 +352,9 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
                   f"{report.elapsed_seconds:.2f}s")
             continue
         lower = "-" if report.lower_bound is None else str(report.lower_bound)
-        flags = []
-        if report.exact:
-            flags.append("exact")
-        if report.stopped_by_bound:
-            flags.append("stopped-by-bound")
         print(f"  {name:12s} ub={report.upper_bound} lb={lower} "
               f"nodes={report.nodes} {report.elapsed_seconds:.2f}s"
-              f"{' (' + ', '.join(flags) + ')' if flags else ''}")
+              f"{' (exact)' if report.exact else ''}")
     if args.timeline and result.events:
         print("  bound timeline:")
         for event in result.events:

@@ -19,9 +19,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from ..search.common import BoundHooks
 from ..telemetry import NULL_TRACER
-from ..widths import as_width
 from .operators import CROSSOVER_OPERATORS, MUTATION_OPERATORS
 from .selection import tournament_selection
 
@@ -76,7 +74,6 @@ class GAResult:
     evaluations: int
     history: list[float] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    stopped_by_bound: bool = False
 
 
 def run_permutation_ga(
@@ -86,47 +83,29 @@ def run_permutation_ga(
     rng: random.Random,
     max_seconds: float | None = None,
     seed_individuals: Sequence[Sequence] | None = None,
-    hooks: BoundHooks | None = None,
+    tracer=NULL_TRACER,
     fitness_batch: Callable[[list[list]], list[float]] | None = None,
 ) -> GAResult:
     """Evolve permutations of ``elements`` minimizing ``fitness``.
 
     ``seed_individuals`` lets callers inject heuristic orderings (e.g.
     min-fill) into the initial population; the rest is random.
+    ``tracer`` receives the run's ``ga`` span and its sampled events.
 
-    ``hooks`` connects the run to an external incumbent channel
-    (portfolio mode), polled at generation boundaries: every strict
-    improvement of the best fitness is published as an upper bound, and
-    the run stops early — ``stopped_by_bound`` — once an externally
-    proven lower bound meets the best fitness (the bound cannot improve
-    further, so the remaining generations are wasted work).  The race's
-    stop word is also read before every individual is scored (one
-    GA-fhw evaluation can cost several milliseconds of LP solves); once
-    it is set the run raises :class:`~repro.search.common.RaceStopped`.
-
-    ``fitness_batch(individuals, poll)`` replaces the one-by-one
-    evaluation of a whole population (same values as mapping
-    ``fitness``, position for position) and calls ``poll`` (when not
-    None) before scoring each individual; incremental evaluators
-    use it to pick the evaluation order that maximizes shared state
-    between individuals.  The GA's behaviour must not change: the
-    evolutionary loop consumes no randomness during evaluation, so any
-    evaluation order is legal.
+    ``fitness_batch`` replaces the one-by-one evaluation of a whole
+    population (same values as mapping ``fitness``, position for
+    position); incremental evaluators use it to pick the evaluation
+    order that maximizes shared state between individuals.  The GA's
+    behaviour must not change: the evolutionary loop consumes no
+    randomness during evaluation, so any evaluation order is legal.
     """
     parameters.validate()
-    poll = hooks.check_stop if hooks is not None else None
 
     def evaluate(individuals: list[list]) -> list[float]:
         if fitness_batch is not None:
-            return list(fitness_batch(individuals, poll))
-        values = []
-        for individual in individuals:
-            if poll is not None:
-                poll()
-            values.append(fitness(individual))
-        return values
+            return list(fitness_batch(individuals))
+        return [fitness(ind) for ind in individuals]
 
-    tracer = hooks.tracer if hooks is not None else NULL_TRACER
     tracing = bool(getattr(tracer, "enabled", False))
     with tracer.span(
         "ga",
@@ -157,30 +136,16 @@ def run_permutation_ga(
         best_fitness = fitnesses[best_index]
         best_individual = list(population[best_index])
         history = [best_fitness]
-        if hooks is not None and hooks.publish_upper is not None:
-            hooks.publish_upper(as_width(best_fitness))
         if tracing:
             tracer.event("ga_improved", generation=0, best=best_fitness)
 
         generations_run = 0
-        stopped_by_bound = False
         for _generation in range(parameters.generations):
             if (
                 max_seconds is not None
                 and time.monotonic() - start > max_seconds
             ):
                 break
-            if hooks is not None and hooks.poll_lower is not None:
-                external_lb = hooks.poll_lower()
-                if external_lb is not None and best_fitness <= external_lb:
-                    stopped_by_bound = True
-                    if tracing:
-                        tracer.event(
-                            "ga_stopped_by_bound",
-                            generation=generations_run,
-                            bound=external_lb,
-                        )
-                    break
             generations_run += 1
             population = tournament_selection(
                 population, fitnesses, parameters.tournament_size, rng
@@ -195,8 +160,6 @@ def run_permutation_ga(
             if fitnesses[gen_best] < best_fitness:
                 best_fitness = fitnesses[gen_best]
                 best_individual = list(population[gen_best])
-                if hooks is not None and hooks.publish_upper is not None:
-                    hooks.publish_upper(as_width(best_fitness))
                 if tracing:
                     tracer.event(
                         "ga_improved",
@@ -219,7 +182,6 @@ def run_permutation_ga(
             evaluations=evaluations,
             history=history,
             elapsed_seconds=time.monotonic() - start,
-            stopped_by_bound=stopped_by_bound,
         )
         if tracing:
             tracer.event(
@@ -227,7 +189,6 @@ def run_permutation_ga(
                 best=best_fitness,
                 generations=generations_run,
                 evaluations=evaluations,
-                stopped_by_bound=stopped_by_bound,
             )
         return result
 

@@ -29,17 +29,15 @@ indirect propagation — ``vertex_elimination`` is property-tested against
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 
 from ..decomposition.elimination import OrderingEvaluator, elimination_bags
 from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.hypergraph import Hypergraph
-from ..search.common import BoundHooks
 from ..setcover.bitcover import BitCoverEngine
 from ..setcover.exact import exact_set_cover
 from ..setcover.greedy import greedy_set_cover
-from ..telemetry import Metrics
-from ..widths import Width, as_width
+from ..telemetry import NULL_TRACER, Metrics
+from ..widths import Width
 from .engine import GAParameters, GAResult, run_permutation_ga
 
 
@@ -178,18 +176,13 @@ class PrefixGhwEvaluator:
         self._present = present
         return width
 
-    def evaluate_population(
-        self, population: list[list], poll: Callable[[], None] | None = None
-    ) -> list[Width]:
+    def evaluate_population(self, population: list[list]) -> list[Width]:
         """Fitnesses of a whole generation, scored in prefix-friendly
-        order, reported in the population's order; ``poll`` (the race's
-        stop check) runs before each individual is scored."""
+        order, reported in the population's order."""
         as_bits = [self.order_bits(ind) for ind in population]
         order = sorted(range(len(population)), key=as_bits.__getitem__)
         fitnesses: list[Width] = [0] * len(population)
         for i in order:
-            if poll is not None:
-                poll()
             fitnesses[i] = self._fitness_bits(as_bits[i])
         return fitnesses
 
@@ -201,7 +194,7 @@ def ga_ghw(
     max_seconds: float | None = None,
     rescore_exact: bool = True,
     seed_with_heuristics: bool = False,
-    hooks: "BoundHooks | None" = None,
+    tracer=NULL_TRACER,
     metrics: Metrics | None = None,
     engine: BitCoverEngine | None = None,
     seed_individuals: list | None = None,
@@ -216,10 +209,8 @@ def ga_ghw(
     population — an extension beyond the thesis' fully random
     initialization (off by default for fidelity; it collapses the
     thesis' adder/bridge regressions because min-fill already finds the
-    structured optima there).  ``hooks`` plugs the run into the
-    portfolio's shared incumbent channel (see :func:`ga_treewidth`);
-    published upper bounds use the greedy fitness, which is a valid ghw
-    upper bound throughout the run.
+    structured optima there).  ``tracer`` receives the run's ``ga``
+    span and events.
 
     Individuals are scored by a :class:`PrefixGhwEvaluator` — the same
     values as :func:`ghw_fitness` bit for bit, with shared elimination
@@ -233,12 +224,10 @@ def ga_ghw(
     """
     result = _prefix_ga(
         hypergraph, "integral", parameters, rng,
-        max_seconds, seed_with_heuristics, hooks, metrics, engine,
+        max_seconds, seed_with_heuristics, tracer, metrics, engine,
         seed_individuals,
     )
     if rescore_exact and result.best_individual:
-        if hooks is not None:
-            hooks.check_stop()
         bags = elimination_bags(hypergraph, result.best_individual)
         exact_width = max(
             len(exact_set_cover(bag, hypergraph, max_nodes=20000))
@@ -246,8 +235,6 @@ def ga_ghw(
         )
         if exact_width < result.best_fitness:
             result.best_fitness = exact_width
-            if hooks is not None and hooks.publish_upper is not None:
-                hooks.publish_upper(as_width(exact_width))
     return result
 
 
@@ -257,7 +244,7 @@ def ga_fhw(
     rng: random.Random | None = None,
     max_seconds: float | None = None,
     seed_with_heuristics: bool = False,
-    hooks: "BoundHooks | None" = None,
+    tracer=NULL_TRACER,
     metrics: Metrics | None = None,
     engine: BitCoverEngine | None = None,
     seed_individuals: list | None = None,
@@ -270,20 +257,18 @@ def ga_fhw(
     exact rational LP of :mod:`repro.setcover.fractional` through the
     engine's dominance-cached fractional layer, so the fitness *is* the
     exact ``width_f(σ, H)`` of the ordering — no rescore pass exists
-    because there is nothing tighter to rescore with.  Published upper
-    bounds are exact rational incumbents for the portfolio's shared
-    channel.
+    because there is nothing tighter to rescore with.
     """
     return _prefix_ga(
         hypergraph, "fractional", parameters, rng,
-        max_seconds, seed_with_heuristics, hooks, metrics, engine,
+        max_seconds, seed_with_heuristics, tracer, metrics, engine,
         seed_individuals,
     )
 
 
 def _prefix_ga(
     hypergraph, measure, parameters, rng, max_seconds,
-    seed_with_heuristics, hooks, metrics, engine, seed_individuals,
+    seed_with_heuristics, tracer, metrics, engine, seed_individuals,
 ) -> GAResult:
     """The GA run shared by :func:`ga_ghw` and :func:`ga_fhw`: one
     :class:`PrefixGhwEvaluator` under the bag-cost ``measure``."""
@@ -319,6 +304,6 @@ def _prefix_ga(
         rng=generator,
         max_seconds=max_seconds,
         seed_individuals=seeds or None,
-        hooks=hooks,
+        tracer=tracer,
         fitness_batch=evaluator.evaluate_population,
     )

@@ -19,8 +19,7 @@ import random
 from ..decomposition.elimination import OrderingEvaluator
 from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
-from ..search.common import BoundHooks
-from ..telemetry import Metrics
+from ..telemetry import NULL_TRACER, Metrics
 from .engine import GAParameters, GAResult, run_permutation_ga
 
 
@@ -30,7 +29,7 @@ def ga_treewidth(
     rng: random.Random | None = None,
     max_seconds: float | None = None,
     seed_with_heuristics: bool = False,
-    hooks: "BoundHooks | None" = None,
+    tracer=NULL_TRACER,
     metrics: Metrics | None = None,
     seed_individuals: list | None = None,
 ) -> GAResult:
@@ -41,10 +40,7 @@ def ga_treewidth(
     into the initial population (an extension beyond the thesis' fully
     random initialization; useful in practice, off by default for
     fidelity); ``seed_individuals`` injects explicit orderings on top.
-    ``hooks`` (see :class:`repro.search.BoundHooks`) plugs
-    the run into the portfolio's shared incumbent channel: best-fitness
-    improvements are published as treewidth upper bounds, and the run
-    stops once an external lower bound proves the best fitness optimal.
+    ``tracer`` receives the run's ``ga`` span and events.
     ``metrics`` keeps the call surface uniform with :func:`ga_ghw`;
     GA-tw has no cover cache, so it records no counters.
     """
@@ -73,5 +69,5 @@ def ga_treewidth(
         rng=generator,
         max_seconds=max_seconds,
         seed_individuals=seeds,
-        hooks=hooks,
+        tracer=tracer,
     )

@@ -265,16 +265,6 @@ class BitGraph:
             out.add(labels[low.bit_length() - 1])
         return out
 
-    def mask_to_list(self, mask: int) -> list:
-        """Like :meth:`mask_to_set`, in ascending bit order."""
-        labels = self._labels
-        out = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out.append(labels[low.bit_length() - 1])
-        return out
-
     def adjacency_masks(self) -> tuple[dict[Vertex, int], list[Vertex], list[int]]:
         """``(index, labels, adj)`` snapshot for external bit-space loops
         (e.g. the GA ordering evaluator): the interning table, the

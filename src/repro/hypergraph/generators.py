@@ -20,7 +20,6 @@ All random generators take an explicit ``seed`` and are deterministic.
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Sequence
 
@@ -496,33 +495,3 @@ def _require_positive(n: int) -> None:
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
 
-
-def nontrivial_treewidth_reference(graph: Graph) -> int | None:
-    """Exact treewidth for the generated families where it is known in
-    closed form; ``None`` if unknown.  Used by tests as an oracle."""
-    n = graph.num_vertices
-    m = graph.num_edges
-    if m == 0:
-        return 0 if n else None
-    if m == n - 1 and len(graph.connected_components()) == 1:
-        return 1  # tree
-    if m == n and all(graph.degree(v) == 2 for v in graph):
-        return 2  # cycle
-    if m == n * (n - 1) // 2:
-        return n - 1  # complete graph
-    side = math.isqrt(n)
-    if side * side == n and m == 2 * side * (side - 1):
-        expected = grid_graph(side)
-        if _isomorphic_grid(graph, side):
-            return side  # n×n grid: folklore treewidth n (thesis §5.4.2)
-    return None
-
-
-def _isomorphic_grid(graph: Graph, side: int) -> bool:
-    """Cheap check that ``graph`` literally is our grid construction."""
-    try:
-        return all(
-            graph.has_edge(*e) for e in grid_graph(side).edges()
-        ) and graph.num_edges == 2 * side * (side - 1)
-    except Exception:
-        return False

@@ -84,16 +84,6 @@ class IncidenceIndex:
     vertex_edge_masks: dict  # vertex -> mask over edge space
     edge_vertex_masks: dict  # edge name -> mask over vertex space
 
-    def vertices_mask(self, vertices: Iterable[Vertex]) -> int:
-        """OR of the vertex bits of ``vertices``."""
-        mask = 0
-        for v in vertices:
-            try:
-                mask |= 1 << self.vertex_bit[v]
-            except KeyError:
-                raise HypergraphError(f"unknown vertex: {v!r}") from None
-        return mask
-
     def mask_to_vertices(self, mask: int) -> list:
         """Vertex labels of the bits set in ``mask`` (ascending bits)."""
         out = []

@@ -1,9 +1,10 @@
 """Parallel anytime portfolio solver with shared incumbent bounds.
 
-Races the repo's anytime width solvers (A*/BB/GA, tw and ghw, plus the
-min-fill seed) in worker processes; workers exchange incumbent bounds
-through a shared channel so each tightens its pruning from the others'
-progress.  See :func:`run_portfolio`.
+Races the repo's exact width searches (A*/BB for tw, ghw and fhw,
+opt-k-decomp for hw, plus the min-fill seed) in worker processes;
+workers exchange incumbent bounds through a shared channel so each
+tightens its pruning from the others' progress.  See
+:func:`run_portfolio`.
 """
 
 from .backends import (

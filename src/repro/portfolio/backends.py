@@ -37,11 +37,9 @@ from ..decomposition import (
     ghw_ordering_width,
 )
 from ..decomposition.htd import htd_from_ordering
-from ..genetic import GAParameters, ga_fhw, ga_ghw, ga_treewidth
 from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
-from ..sat import cdcl_hypertree_width
 from ..search import (
     BoundHooks,
     SearchBudget,
@@ -56,7 +54,7 @@ from ..search.ghw_common import GhwSearchContext, initial_ghw_bounds
 from ..setcover import exact_set_cover
 from ..setcover.bitcover import BitCoverEngine
 from ..verify.certificate import assert_certified
-from ..widths import Width, as_width
+from ..widths import Width
 
 
 @dataclass
@@ -64,30 +62,24 @@ class BackendConfig:
     """Per-worker knobs, picklable for the process boundary.
 
     ``deterministic`` trades the wall-clock budget for a fixed amount of
-    work (node budget for the searches, generation budget for the GA) so
-    a worker's outcome depends only on its seed.  ``trace`` turns on the
-    worker-local telemetry tracer (a bool, not a tracer object — the
-    config crosses the process boundary).
+    work (the node budget) so a worker's outcome depends only on its
+    seed.  ``trace`` turns on the worker-local telemetry tracer (a bool,
+    not a tracer object — the config crosses the process boundary).
 
-    ``initial_upper`` / ``initial_lower`` / ``warm_ordering`` are the
-    warm-start seam of the incremental re-solve API: the caller asserts
-    a witnessed upper bound (``warm_ordering`` is its certificate) and a
-    proven lower bound, the searches start with that incumbent, and the
-    GAs inject the ordering into their initial population.  Soundness is
-    the caller's contract — the runner never invents these.
+    ``initial_upper`` / ``initial_lower`` are the warm-start seam: the
+    caller asserts a witnessed upper bound and a proven lower bound, and
+    the searches start with that incumbent.  Soundness is the caller's
+    contract — the runner never invents these.
     """
 
     max_seconds: float | None = None
     max_nodes: int | None = None
     seed: int = 0
     deterministic: bool = False
-    ga_population: int = 40
-    ga_generations: int = 120
     poll_interval: int = 64
     trace: bool = False
     initial_upper: int | None = None
     initial_lower: int | None = None
-    warm_ordering: list | None = None
 
 
 @dataclass
@@ -100,8 +92,8 @@ class BackendReport:
     a :class:`HypertreeDecomposition` for hw.  ``ordering`` is the
     elimination ordering the tw, ghw and fhw witnesses were built from
     (None for hw and ``balanced-ghw``, whose trees come from no
-    ordering).  ``lower_bound`` is the worker's own proof (``None`` for
-    heuristic-only backends like the GA).  ``events`` is the
+    ordering).  ``lower_bound`` is the worker's own proof (``None`` when
+    the backend proves none).  ``events`` is the
     worker-local bound stream (filled in by the runner's worker shim,
     which also stamps ``elapsed_seconds`` with the worker's wall time).
     ``error`` marks a worker that raised — the bound fields are then
@@ -118,7 +110,6 @@ class BackendReport:
     exact: bool = False
     nodes: int = 0
     elapsed_seconds: float = 0.0
-    stopped_by_bound: bool = False
     error: str | None = None
     stopped: bool = False
     events: list = field(default_factory=list)
@@ -175,39 +166,6 @@ def _search_report(
     )
 
 
-def _ga_report(
-    name: str, kind: str, structure, result, hooks: BoundHooks | None = None,
-    engine: BitCoverEngine | None = None,
-) -> BackendReport:
-    # as_width, not int(): truncating a rational fitness (int(3/2) == 1)
-    # would report an unwitnessed — unsound — upper bound.
-    ordering = list(result.best_individual) or None
-    return BackendReport(
-        backend=name,
-        upper_bound=as_width(result.best_fitness),
-        lower_bound=None,
-        ordering=ordering,
-        exact=False,
-        nodes=result.evaluations,
-        stopped_by_bound=result.stopped_by_bound,
-        witness=_certificate(kind, structure, ordering, hooks, engine),
-    )
-
-
-def _ga_parameters(config: BackendConfig) -> GAParameters:
-    return GAParameters(
-        population_size=config.ga_population,
-        generations=config.ga_generations,
-    )
-
-
-def _warm_seeds(config: BackendConfig) -> list | None:
-    """The warm-start ordering as a GA seed population (or None)."""
-    if config.warm_ordering is None:
-        return None
-    return [list(config.warm_ordering)]
-
-
 def _as_hypergraph(structure: Graph | Hypergraph) -> Hypergraph:
     if isinstance(structure, Hypergraph):
         return structure
@@ -235,18 +193,6 @@ def _run_bb_tw(structure, config: BackendConfig, hooks: BoundHooks):
     return _search_report("bb-tw", "tw", structure, result, hooks)
 
 
-def _run_ga_tw(structure, config: BackendConfig, hooks: BoundHooks):
-    result = ga_treewidth(
-        structure,
-        _ga_parameters(config),
-        rng=random.Random(config.seed),
-        max_seconds=None if config.deterministic else config.max_seconds,
-        hooks=hooks,
-        seed_individuals=_warm_seeds(config),
-    )
-    return _ga_report("ga-tw", "tw", structure, result, hooks)
-
-
 # -- ghw backends -------------------------------------------------------
 
 
@@ -268,18 +214,6 @@ def _run_astar_ghw(structure, config: BackendConfig, hooks: BoundHooks):
     return _search_report("astar-ghw", "ghw", structure, result, hooks)
 
 
-def _run_ga_ghw(structure, config: BackendConfig, hooks: BoundHooks):
-    result = ga_ghw(
-        _as_hypergraph(structure),
-        _ga_parameters(config),
-        rng=random.Random(config.seed),
-        max_seconds=None if config.deterministic else config.max_seconds,
-        hooks=hooks,
-        seed_individuals=_warm_seeds(config),
-    )
-    return _ga_report("ga-ghw", "ghw", structure, result, hooks)
-
-
 # -- hw backends --------------------------------------------------------
 
 
@@ -293,6 +227,7 @@ def _run_optk_hw(structure, config: BackendConfig, hooks: BoundHooks):
         max_states=(
             config.max_nodes if config.max_nodes is not None else 200000
         ),
+        max_seconds=None if config.deterministic else config.max_seconds,
         tracer=hooks.tracer,
         hooks=hooks,
     )
@@ -303,30 +238,6 @@ def _run_optk_hw(structure, config: BackendConfig, hooks: BoundHooks):
         ordering=None,
         exact=result.exact,
         nodes=result.subproblems,
-        witness=result.decomposition,
-    )
-
-
-def _run_cdcl_hw(structure, config: BackendConfig, hooks: BoundHooks):
-    """The pure-python CDCL backend: one hw formula, incremental
-    k-ladder assumptions, learned clauses shared across rungs.  The
-    conflict budget plays the role of the node budget."""
-    hypergraph = _as_hypergraph(structure)
-    result = cdcl_hypertree_width(
-        hypergraph,
-        max_conflicts=(
-            config.max_nodes if config.max_nodes is not None else 100000
-        ),
-        tracer=hooks.tracer,
-        hooks=hooks,
-    )
-    return BackendReport(
-        backend="cdcl-hw",
-        upper_bound=result.upper,
-        lower_bound=result.lower,
-        ordering=None,
-        exact=result.exact,
-        nodes=result.conflicts,
         witness=result.decomposition,
     )
 
@@ -346,21 +257,6 @@ def _run_astar_fhw(structure, config: BackendConfig, hooks: BoundHooks):
     return _search_report(
         "astar-fhw", "fhw", structure, result, hooks, engine
     )
-
-
-def _run_ga_fhw(structure, config: BackendConfig, hooks: BoundHooks):
-    hypergraph = _as_hypergraph(structure)
-    engine = BitCoverEngine(hypergraph)
-    result = ga_fhw(
-        hypergraph,
-        _ga_parameters(config),
-        rng=random.Random(config.seed),
-        max_seconds=None if config.deterministic else config.max_seconds,
-        hooks=hooks,
-        engine=engine,
-        seed_individuals=_warm_seeds(config),
-    )
-    return _ga_report("ga-fhw", "fhw", structure, result, hooks, engine)
 
 
 # -- min-fill seed backends ---------------------------------------------
@@ -492,27 +388,23 @@ BACKENDS: dict[str, BackendSpec] = {
     for spec in (
         BackendSpec("astar-tw", "tw", _run_astar_tw),
         BackendSpec("bb-tw", "tw", _run_bb_tw),
-        BackendSpec("ga-tw", "tw", _run_ga_tw),
         BackendSpec(
             "min-fill", "tw",
             partial(_run_minfill, "min-fill", "tw", _minfill_tw_bounds),
         ),
         BackendSpec("bb-ghw", "ghw", _run_bb_ghw),
         BackendSpec("astar-ghw", "ghw", _run_astar_ghw),
-        BackendSpec("ga-ghw", "ghw", _run_ga_ghw),
         BackendSpec(
             "min-fill-ghw", "ghw",
             partial(_run_minfill, "min-fill-ghw", "ghw", _minfill_ghw_bounds),
         ),
         BackendSpec("balanced-ghw", "ghw", _run_balanced_ghw),
         BackendSpec("astar-fhw", "fhw", _run_astar_fhw),
-        BackendSpec("ga-fhw", "fhw", _run_ga_fhw),
         BackendSpec(
             "min-fill-fhw", "fhw",
             partial(_run_minfill, "min-fill-fhw", "fhw", _minfill_fhw_bounds),
         ),
         BackendSpec("optk-hw", "hw", _run_optk_hw),
-        BackendSpec("cdcl-hw", "hw", _run_cdcl_hw),
         BackendSpec(
             "min-fill-hw", "hw",
             partial(_run_minfill, "min-fill-hw", "hw", _minfill_hw_bounds),
@@ -521,10 +413,10 @@ BACKENDS: dict[str, BackendSpec] = {
 }
 
 DEFAULT_BACKENDS: dict[str, tuple[str, ...]] = {
-    "tw": ("astar-tw", "bb-tw", "ga-tw", "min-fill"),
-    "ghw": ("bb-ghw", "astar-ghw", "ga-ghw", "min-fill-ghw"),
-    "fhw": ("astar-fhw", "ga-fhw", "min-fill-fhw"),
-    "hw": ("optk-hw", "cdcl-hw", "min-fill-hw"),
+    "tw": ("astar-tw", "bb-tw", "min-fill"),
+    "ghw": ("bb-ghw", "astar-ghw", "min-fill-ghw"),
+    "fhw": ("astar-fhw", "min-fill-fhw"),
+    "hw": ("optk-hw", "min-fill-hw"),
 }
 
 

@@ -174,8 +174,6 @@ class IncrementalSolver:
             seed=self.seed,
             deterministic=deterministic,
             metric="ghw",
-            ga_population=self.ga_population,
-            ga_generations=self.ga_generations,
         )
         self.metrics.counter("incremental.cold_solves").inc()
         if outcome.ordering is None:

@@ -24,7 +24,7 @@ slack) is terminated.
 
 ``deterministic=True`` makes the outcome a pure function of the seeds:
 workers run isolated (no live bound exchange), wall-clock budgets are
-replaced by node/generation budgets, every requested backend runs, and
+replaced by node budgets, every requested backend runs, and
 all merging — winner selection and the event timeline — happens in the
 fixed backend order rather than arrival order.
 """
@@ -178,13 +178,10 @@ def run_portfolio(
     seed: int = 0,
     deterministic: bool = False,
     metric: str | None = None,
-    ga_population: int = 40,
-    ga_generations: int = 120,
     poll_interval: int = 64,
     trace: str | None = None,
     initial_upper: int | None = None,
     initial_lower: int | None = None,
-    warm_ordering: list | None = None,
     grace_seconds: float | None = None,
     shared_bounds: SharedBounds | None = None,
 ) -> PortfolioResult:
@@ -203,12 +200,10 @@ def run_portfolio(
     workers are told to stop; each sends a ``stopped`` report with no
     bounds (traced as ``worker_stopped``).
 
-    ``initial_upper`` / ``initial_lower`` / ``warm_ordering`` warm-start
-    the race (the incremental re-solve path): the upper bound pre-seeds
-    the shared channel (static poll answers in deterministic mode), the
-    GAs add ``warm_ordering`` to their initial populations, and the
-    lower bound joins the aggregation.  The caller asserts soundness:
-    ``initial_upper`` must be witnessed (by ``warm_ordering``) and
+    ``initial_upper`` / ``initial_lower`` warm-start the race: the upper
+    bound pre-seeds the shared channel (static poll answers in
+    deterministic mode) and the lower bound joins the aggregation.  The
+    caller asserts soundness: ``initial_upper`` must be witnessed and
     ``initial_lower`` proven for the *current* structure.
 
     ``trace`` (a file path) turns on telemetry: every worker traces into
@@ -247,13 +242,10 @@ def run_portfolio(
         max_nodes=max_nodes,
         seed=seed,
         deterministic=deterministic,
-        ga_population=ga_population,
-        ga_generations=ga_generations,
         poll_interval=poll_interval,
         trace=trace is not None,
         initial_upper=initial_upper,
         initial_lower=initial_lower,
-        warm_ordering=list(warm_ordering) if warm_ordering else None,
     )
 
     ctx = multiprocessing.get_context()

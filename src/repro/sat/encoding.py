@@ -28,7 +28,6 @@ base formula alone.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..bounds.ghw_lower import ghw_lower_bound
@@ -65,10 +64,6 @@ class HwFormula:
 
     The width-≤-k query is the assumption set ``¬r(i, m-1, k)`` for
     every node i.
-
-    ``stop`` (the portfolio's stop check) is called between the
-    construction's clause families and handed to the solver, which
-    calls it every few conflicts.
     """
 
     def __init__(
@@ -79,7 +74,6 @@ class HwFormula:
         tracer=NULL_TRACER,
         corrupt_learned: bool = False,
         max_clauses: int = DEFAULT_MAX_CLAUSES,
-        stop: Callable[[], None] | None = None,
     ):
         self.hypergraph = hypergraph
         self.vertices = hypergraph.vertex_list()
@@ -92,7 +86,7 @@ class HwFormula:
         self._max_clauses = max_clauses
         self._check_size(n, m)
         self.solver = CDCLSolver(
-            tracer=tracer, corrupt_learned=corrupt_learned, stop=stop
+            tracer=tracer, corrupt_learned=corrupt_learned
         )
         self.num_clauses = 0
         self._ord: dict[tuple[int, int], int] = {}
@@ -146,7 +140,6 @@ class HwFormula:
         n = len(self.vertices)
         m = len(self.edge_items)
         new = self.solver.new_var
-        poll = self.solver.stop or (lambda: None)
         for i in range(n):
             for j in range(i + 1, n):
                 self._ord[(i, j)] = new()
@@ -172,7 +165,6 @@ class HwFormula:
         )
         before = self.before
 
-        poll()
         # (1) σ is a total order: forbid both 3-cycles per triple.
         for i in range(n):
             for j in range(i + 1, n):
@@ -186,7 +178,6 @@ class HwFormula:
             for _, edge in self.edge_items
         ]
 
-        poll()
         for i in range(n):
             for p in range(n):
                 if p == i:
@@ -213,7 +204,6 @@ class HwFormula:
                 # (8) a σ-earlier bag vertex anchors i above node_x.
                 self._add([-bag[(i, x)], before(i, x), anc[(x, i)]])
 
-        poll()
         for i in range(n):
             for p in range(n):
                 if p == i:
@@ -234,7 +224,6 @@ class HwFormula:
                         [-anc[(i, p)], -par[(i, q)], anc[(q, p)]]
                     )
 
-        poll()
         # (6) every hyperedge lives in the bag of its σ-first vertex.
         for ids in edge_vertex_ids:
             for u in ids:
@@ -242,7 +231,6 @@ class HwFormula:
                     if u != v:
                         self._add([-before(u, v), bag[(u, v)]])
 
-        poll()
         # (7) σ-later bag vertices propagate to the parent (upward
         # connectivity; the chain stops at node_x itself).
         for i in range(n):
@@ -261,7 +249,6 @@ class HwFormula:
                         ]
                     )
 
-        poll()
         # (9) σ-earlier bag vertices propagate down the tree path toward
         # node_x: the child of a holder that is itself an ancestor of
         # node_x must hold x too (connectivity below the holder).
@@ -281,7 +268,6 @@ class HwFormula:
                         ]
                     )
 
-        poll()
         # (10) λ covers the bag (GHD condition 3).
         edges_holding = [
             [e for e, ids in enumerate(edge_vertex_ids) if x in ids]
@@ -307,7 +293,6 @@ class HwFormula:
                             [-cov[(i, e)], -anc[(x, i)], bag[(i, x)]]
                         )
 
-        poll()
         # (12) sequential counter over each node's λ selectors.
         for i in range(n):
             for e in range(m):
@@ -421,7 +406,6 @@ def cdcl_hypertree_width(
     max_width: int | None = None,
     max_conflicts: int | None = None,
     tracer=NULL_TRACER,
-    hooks=None,
     corrupt_learned: bool = False,
     max_clauses: int = DEFAULT_MAX_CLAUSES,
 ) -> CdclHwResult:
@@ -435,13 +419,8 @@ def cdcl_hypertree_width(
     because each component's λ-edges are local to it).
 
     Every witness is certified by ``check_htd`` before it is trusted.
-    ``hooks`` (a :class:`~repro.search.common.BoundHooks`) is polled
-    between rungs — an external upper bound restarts the ladder lower,
-    an external lower bound can close the bracket — and improvements
-    are published back.  Its stop check also runs before and during the
-    formula build and every few conflicts.  On conflict-budget
-    exhaustion the best certified bracket so far is returned with
-    ``exact=False``.
+    On conflict-budget exhaustion the best certified bracket so far is
+    returned with ``exact=False``.
     """
     if hypergraph.num_edges == 0:
         return CdclHwResult(
@@ -473,8 +452,6 @@ def cdcl_hypertree_width(
             max_width=max_width,
             max_conflicts=budget_left,
             tracer=tracer,
-            hooks=hooks if len(components) == 1 else None,
-            stop=None if hooks is None else hooks.check_stop,
             corrupt_learned=corrupt_learned,
             max_clauses=max_clauses,
         )
@@ -533,8 +510,6 @@ def _solve_component(
     max_width: int | None,
     max_conflicts: int | None,
     tracer,
-    hooks,
-    stop: Callable[[], None] | None,
     corrupt_learned: bool,
     max_clauses: int,
 ) -> CdclHwResult:
@@ -547,8 +522,6 @@ def _solve_component(
         return CdclHwResult(
             upper=upper, lower=lower, exact=True, decomposition=incumbent
         )
-    if stop is not None:
-        stop()
     try:
         formula = HwFormula(
             hypergraph,
@@ -556,7 +529,6 @@ def _solve_component(
             tracer=tracer,
             corrupt_learned=corrupt_learned,
             max_clauses=max_clauses,
-            stop=stop,
         )
     except EncodingTooLarge:
         return CdclHwResult(
@@ -570,21 +542,6 @@ def _solve_component(
     # UNSAT there already proves hw > max_width.
     k = upper - 1 if max_width is None else min(upper - 1, max_width)
     while k >= lower:
-        if stop is not None:
-            stop()
-        if hooks is not None:
-            ext_upper = hooks.poll_upper() if hooks.poll_upper else None
-            ext_lower = hooks.poll_lower() if hooks.poll_lower else None
-            if ext_upper is not None and ext_upper <= k:
-                # Someone else already holds a witness at ≤ k; search
-                # strictly below it.
-                k = ext_upper - 1
-                if k < lower:
-                    break
-            if ext_lower is not None and ext_lower > lower:
-                lower = ext_lower
-                if k < lower:
-                    break
         spent_before = solver.stats.conflicts
         rungs += 1
         try:
@@ -611,13 +568,9 @@ def _solve_component(
             assert width <= k, (width, k)
             incumbent = witness
             upper = width
-            if hooks is not None and hooks.publish_upper:
-                hooks.publish_upper(upper)
             k = width - 1
         else:
             lower = k + 1
-            if hooks is not None and hooks.publish_lower:
-                hooks.publish_lower(lower)
             break
     return CdclHwResult(
         upper=upper,

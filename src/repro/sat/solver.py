@@ -15,24 +15,17 @@ that is what makes the k-ladder incremental.
 mutation gate** (see ``repro.verify.fuzz``): when set, every learned
 clause of length ≥ 2 silently loses one non-asserting literal — the
 classic unsound-CDCL seeding bug.  It must never be set outside tests.
-
-``stop`` (a zero-argument callable, the portfolio's stop check) is
-called every ``_STOP_EVERY`` conflicts; it abandons the search by
-raising.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..telemetry import NULL_TRACER
 
 # Sampled conflict telemetry: one event per this many conflicts.
 _CONFLICT_EVERY = 64
-# Conflicts between two calls of the ``stop`` check.
-_STOP_EVERY = 16
 # Luby restart unit, in conflicts.
 _RESTART_BASE = 128
 # VSIDS decay (activities grow by 1/decay per conflict).
@@ -98,11 +91,9 @@ class CDCLSolver:
         self,
         tracer=NULL_TRACER,
         corrupt_learned: bool = False,
-        stop: Callable[[], None] | None = None,
     ):
         self.tracer = tracer
         self.corrupt_learned = corrupt_learned
-        self.stop = stop
         self.num_vars = 0
         # Indexed by variable (1-based; index 0 unused).
         self._value: list[int] = [0]  # 0 unassigned / +1 true / -1 false
@@ -346,11 +337,6 @@ class CDCLSolver:
                     conflict_budget -= 1
                     if conflict_budget < 0:
                         raise SolverBudgetExceeded()
-                if (
-                    self.stop is not None
-                    and self.stats.conflicts % _STOP_EVERY == 0
-                ):
-                    self.stop()
                 if len(self._trail_lim) == 0:
                     self._unsat = True
                     return False

@@ -21,6 +21,12 @@ from ..telemetry import NULL_TRACER
 # this many ticks keeps traced runs readable and untraced runs cheap.
 TRACE_NODE_BATCH = 256
 
+# The hooks are polled every ``poll_interval`` nodes or after this many
+# seconds, whichever comes first: one expansion of a wide search can
+# cost a large fraction of a second, and the race's stop word rides the
+# same poll.
+POLL_SECONDS = 0.01
+
 
 class BudgetExceeded(Exception):
     """Internal signal: the node or time budget ran out."""
@@ -116,8 +122,9 @@ class _BudgetClock:
 
     Also the per-run cache of the external incumbent bounds: ``tick``
     refreshes ``external_ub`` / ``external_lb`` from the hooks every
-    ``poll_interval`` nodes, so searches read plain attributes on their
-    hot path instead of crossing a process boundary per node.
+    ``poll_interval`` nodes or :data:`POLL_SECONDS`, so searches read
+    plain attributes on their hot path instead of crossing a process
+    boundary per node.
     """
 
     def __init__(self, budget: SearchBudget):
@@ -129,6 +136,8 @@ class _BudgetClock:
         self.external_lb: int | None = None
         self.published = 0
         self.adopted = 0
+        self._polled_nodes = 0
+        self._polled_at = self._start
         tracer = budget.tracer
         if tracer is None:
             tracer = (
@@ -142,7 +151,8 @@ class _BudgetClock:
 
     def tick(self) -> None:
         """Count one expanded node; raise :class:`BudgetExceeded` when the
-        budget runs out.  The time check is sampled every 64 nodes."""
+        budget runs out.  A run with a time limit or hooks reads the
+        clock on every tick; one with neither never does."""
         self.nodes += 1
         if self._tracing and self.nodes % TRACE_NODE_BATCH == 0:
             self.tracer.event("node_batch", nodes=self.nodes)
@@ -150,11 +160,16 @@ class _BudgetClock:
         if limit is not None and self.nodes > limit:
             raise BudgetExceeded
         seconds = self._budget.max_seconds
-        if seconds is not None and self.nodes % 64 == 0:
-            if time.monotonic() - self._start > seconds:
-                raise BudgetExceeded
         hooks = self._hooks
-        if hooks is not None and self.nodes % hooks.poll_interval == 0:
+        if seconds is None and hooks is None:
+            return
+        now = time.monotonic()
+        if seconds is not None and now - self._start > seconds:
+            raise BudgetExceeded
+        if hooks is not None and (
+            self.nodes - self._polled_nodes >= hooks.poll_interval
+            or now - self._polled_at >= POLL_SECONDS
+        ):
             self.poll()
 
     def poll(self) -> None:
@@ -163,6 +178,8 @@ class _BudgetClock:
         hooks = self._hooks
         if hooks is None:
             return
+        self._polled_nodes = self.nodes
+        self._polled_at = time.monotonic()
         hooks.check_stop()
         if hooks.poll_upper is not None:
             value = hooks.poll_upper()

@@ -86,11 +86,6 @@ class GhwSearchContext:
         """Size of a valid (greedy-or-better) cover of a frozenset bag."""
         return self.engine.greedy_size(self.engine.mask_of(bag))
 
-    def fractional_cover_size(self, bag: frozenset) -> Width:
-        """Exact fractional cover optimum of a frozenset bag — ``int`` or
-        ``Fraction``, never float."""
-        return self.engine.fractional_size(self.engine.mask_of(bag))
-
     def bag_cost(self, bag: frozenset) -> Width:
         """The measure's cost of a frozenset bag: exact cover size for
         ``"integral"``, LP optimum for ``"fractional"``."""

@@ -28,6 +28,7 @@ portfolio and exchange incumbents with the other hw backends.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from ..bounds.ghw_lower import ghw_lower_bound
@@ -73,7 +74,9 @@ class OptKResult:
 class _OptKDecomp:
     """The rung-parametric backtracking core (det-k-decomp's recursion
     with the width bound as a call argument and the memo replaced by
-    cross-rung dominance records)."""
+    cross-rung dominance records).  Running out of states or past
+    ``deadline`` (a ``time.monotonic()`` value) raises ``RuntimeError``;
+    ``hooks.check_stop`` may raise :class:`RaceStopped`."""
 
     def __init__(
         self,
@@ -81,11 +84,15 @@ class _OptKDecomp:
         max_states: int | None,
         metrics: Metrics | None = None,
         tracer=NULL_TRACER,
+        deadline: float | None = None,
+        hooks=None,
     ):
         self.hypergraph = hypergraph
         self.edges = hypergraph.edges
         self.max_states = max_states
         self.tracer = tracer
+        self.deadline = deadline
+        self.hooks = hooks
         self.engine = BitCoverEngine(hypergraph, metrics)
         self.cache = self.engine.cache
         self.edge_mask = {
@@ -118,6 +125,12 @@ class _OptKDecomp:
             raise RuntimeError(
                 "opt-k-decomp state budget exhausted; raise max_states"
             )
+        # Every fresh subproblem reads the clock and the stop word: one
+        # can cost tens of milliseconds on a wide instance.
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise RuntimeError("opt-k-decomp time budget exhausted")
+        if self.hooks is not None:
+            self.hooks.check_stop()
         if self.states % _SUBPROBLEM_TRACE_EVERY == 0:
             self.tracer.event(
                 "optk_subproblem",
@@ -183,6 +196,7 @@ def opt_k_decomp(
     *,
     max_width: int | None = None,
     max_states: int | None = 200000,
+    max_seconds: float | None = None,
     metrics: Metrics | None = None,
     tracer=NULL_TRACER,
     hooks=None,
@@ -193,11 +207,11 @@ def opt_k_decomp(
     incumbent and descends; ``max_width`` (when given) jumps the first
     rung down to that cap, so a single UNSAT rung proves
     ``hw > max_width``.  ``max_states`` bounds the *total* number of
-    fresh subproblems across all rungs; on exhaustion the best
-    certified bracket so far is returned with ``exact=False``.
-    ``hooks`` is polled between rungs (its stop check included) and
-    receives published bound improvements, exactly like the other
-    portfolio searches.
+    fresh subproblems across all rungs and ``max_seconds`` the wall
+    time; on exhaustion of either the best certified bracket so far is
+    returned with ``exact=False``.  ``hooks`` is polled between rungs
+    and receives published bound improvements, exactly like the other
+    portfolio searches; its stop check also runs inside a rung.
 
     Raises :class:`ValueError` for isolated vertices or ``max_width``
     below 1, mirroring :func:`~repro.search.detkdecomp.det_k_decomp`.
@@ -209,6 +223,7 @@ def opt_k_decomp(
         raise ValueError(
             f"hypergraph has isolated vertices {sorted(map(repr, isolated))}"
         )
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     if hypergraph.num_edges == 0:
         htd = HypertreeDecomposition(root="root")
         htd.add_node("root", bag=(), cover=())
@@ -224,7 +239,9 @@ def opt_k_decomp(
         hooks.publish_upper(upper)
     if hooks is not None and hooks.publish_lower:
         hooks.publish_lower(lower)
-    solver = _OptKDecomp(hypergraph, max_states, metrics, tracer)
+    solver = _OptKDecomp(
+        hypergraph, max_states, metrics, tracer, deadline, hooks
+    )
     components = _edge_components(
         hypergraph, frozenset(hypergraph.edge_names()), frozenset()
     )

@@ -50,23 +50,6 @@ def find_strongly_almost_simplicial(
     return None
 
 
-def first_almost_simplicial(graph: _Kernel) -> tuple[Vertex, int] | None:
-    """The (degree, repr)-first almost simplicial vertex of positive
-    degree, with its degree — independent of any bound.
-
-    Because the scan is degree-ascending,
-    ``find_strongly_almost_simplicial(graph, bound)`` equals this vertex
-    when its degree is <= ``bound`` and ``None`` otherwise, which lets
-    the searches cache one bound-free answer per residual graph.
-    """
-    degree = {v: graph.degree(v) for v in graph.vertex_list()}
-    for vertex in sorted(degree, key=lambda v: (degree[v], repr(v))):
-        d = degree[vertex]
-        if d >= 1 and graph.almost_simplicial_witness(vertex) is not None:
-            return vertex, d
-    return None
-
-
 def find_reducible(graph: _Kernel, lower_bound: int) -> Vertex | None:
     """The next vertex forced by the reduction rules, or ``None``.
 

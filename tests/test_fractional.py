@@ -347,41 +347,6 @@ class TestSharedBoundsRational:
         assert not isinstance(recorder.events[0].value, float)
 
 
-class TestGaRationalReporting:
-    def test_ga_report_preserves_fraction(self):
-        from repro.genetic.engine import GAResult
-        from repro.portfolio.backends import _ga_report
-
-        result = GAResult(
-            best_fitness=Fraction(3, 2),
-            best_individual=[1, 2, 3],
-            generations_run=1,
-            evaluations=3,
-        )
-        report = _ga_report("ga-fhw", "fhw", triangle(), result)
-        assert report.upper_bound == Fraction(3, 2)
-        assert not isinstance(report.upper_bound, float)
-        assert report.witness.fhw_width == Fraction(3, 2)
-
-    def test_ga_fhw_publishes_exact_widths(self):
-        from repro.genetic import GAParameters, ga_fhw
-        from repro.search import BoundHooks
-
-        published = []
-        result = ga_fhw(
-            triangle(),
-            GAParameters(population_size=6, generations=3),
-            rng=random.Random(0),
-            hooks=BoundHooks(publish_upper=published.append),
-        )
-        assert result.best_fitness == Fraction(3, 2)
-        assert published, "GA never published its incumbent"
-        for value in published:
-            assert isinstance(value, (int, Fraction))
-            assert not isinstance(value, (bool, float))
-            assert value >= Fraction(3, 2)  # never undercuts the optimum
-
-
 class TestTracerEncoding:
     def test_fractions_serialize_exactly(self, tmp_path):
         from repro.telemetry import JsonlTracer, read_jsonl

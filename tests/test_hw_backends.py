@@ -468,7 +468,7 @@ class TestHwPortfolio:
         assert type(result.witness) is HypertreeDecomposition
         assert check_htd(result.witness, h) == []
         assert result.witness.ghw_width == 3
-        assert set(result.reports) == {"optk-hw", "cdcl-hw", "min-fill-hw"}
+        assert set(result.reports) == {"optk-hw", "min-fill-hw"}
         for report in result.reports.values():
             assert report.error is None
 
@@ -481,3 +481,22 @@ class TestHwPortfolio:
         )
         assert result.exact and result.width == 3
         assert result.witness is not None
+
+    def test_optk_honours_the_time_budget_inside_a_rung(self):
+        # opt-k cannot close grid2d_10 in a second; it must return its
+        # certified bracket at the budget instead of running into the
+        # grace period, where it would be killed without a report.
+        from repro.portfolio import run_portfolio
+
+        h = get_instance("grid2d_10").build()
+        result = run_portfolio(
+            h, metric="hw", backends=["optk-hw"], jobs=1,
+            budget_seconds=1.0, grace_seconds=10.0,
+        )
+        report = result.reports["optk-hw"]
+        assert report.error is None
+        assert report.elapsed_seconds < 5.0
+        assert not result.exact
+        assert result.lower_bound <= result.upper_bound
+        assert check_htd(result.witness, h) == []
+        assert result.witness.ghw_width == result.upper_bound

@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from repro.decomposition import elimination_bags
-from repro.genetic import GAParameters, ga_treewidth
 from repro.hypergraph import Graph, Hypergraph
 from repro.hypergraph.generators import cycle_graph
 from repro.instances import get_instance
@@ -233,24 +232,6 @@ class TestBoundInjection:
         assert ("ub", MYCIEL3_TW) in published
         assert result.stats.bounds_published == len(published)
 
-    def test_ga_stops_on_external_lower_bound(self):
-        # A proven external lb at the GA's incumbent fitness means the
-        # GA cannot improve anything: it must stop at the next
-        # generation boundary instead of burning its budget.
-        graph = get_instance("myciel4").build()
-        import random
-
-        hooks = BoundHooks(poll_lower=lambda: MYCIEL4_TW)
-        result = ga_treewidth(
-            graph,
-            GAParameters(population_size=20, generations=500),
-            rng=random.Random(0),
-            hooks=hooks,
-        )
-        assert result.stopped_by_bound
-        assert result.best_fitness >= MYCIEL4_TW
-        assert result.generations_run < 500
-
 
 class TestBackendRegistry:
     def test_defaults_resolve(self):
@@ -385,7 +366,7 @@ class TestPortfolioLive:
 
     def test_closed_bracket_skips_queued_backends(self, tmp_path):
         # Both exact searches start in the first wave and close myciel3;
-        # the queued GA and min-fill could only repeat the answer.
+        # the queued min-fill could only repeat the answer.
         path = tmp_path / "skip.jsonl"
         result = run_portfolio(
             get_instance("myciel3").build(), metric="tw", jobs=2,
@@ -398,7 +379,7 @@ class TestPortfolioLive:
             r["fields"]["backend"] for r in read_jsonl(path)
             if r["name"] == "worker_skipped"
         ]
-        assert skipped == ["ga-tw", "min-fill"]
+        assert skipped == ["min-fill"]
 
     def test_single_job_serial_waves(self):
         result = run_portfolio(
@@ -585,15 +566,16 @@ class TestRaceStop:
         ]
         assert stopped == ["poll-until-stopped"]
 
-    def test_fhw_race_stops_the_ga(self):
-        # A*-fhw proves fano at its root; GA-fhw, with a population
-        # whose first evaluation outlasts that proof, is stopped inside
-        # the evaluation and ships no bounds.
+    @pytest.mark.usefixtures("fault_backends")
+    def test_fhw_race_stops_a_polling_loser(self):
+        # A*-fhw proves fano at its root; the loser, which only polls
+        # the stop word, is stopped and ships no bounds.
         structure = get_instance("fano").build()
         shared = SharedBounds(multiprocessing.get_context())
         result = run_portfolio(
             structure, metric="fhw", jobs=2, budget_seconds=30.0,
-            ga_population=3000, shared_bounds=shared,
+            grace_seconds=30.0, shared_bounds=shared,
+            backends=["astar-fhw", "poll-until-stopped"],
         )
         assert not multiprocessing.active_children()
         assert result.exact and result.width == Fraction(7, 3)
@@ -601,9 +583,9 @@ class TestRaceStop:
         assert certify(
             result.witness, structure, claimed_width=Fraction(7, 3)
         ).ok
-        ga = result.reports["ga-fhw"]
-        assert ga.stopped and ga.error is None
-        assert (ga.upper_bound, ga.lower_bound, ga.witness) == (
+        loser = result.reports["poll-until-stopped"]
+        assert loser.stopped and loser.error is None
+        assert (loser.upper_bound, loser.lower_bound, loser.witness) == (
             None, None, None
         )
         assert shared.stopped()
@@ -670,9 +652,7 @@ _IMPORT_GUARD = textwrap.dedent("""
         for metric, names in INSTANCES.items()
     }
     before = set(sys.modules)
-    config = BackendConfig(
-        max_seconds=10.0, ga_population=8, ga_generations=3
-    )
+    config = BackendConfig(max_seconds=10.0)
     for metric, names in DEFAULT_BACKENDS.items():
         for name in names:
             for structure in structures[metric]:
@@ -684,18 +664,36 @@ _IMPORT_GUARD = textwrap.dedent("""
 """)
 
 
-def test_default_backends_import_nothing_in_the_worker():
-    # Workers are forked from a process that imported the server; a
-    # backend that imports a solver module lazily pays that import in
-    # every worker of every race.
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this tree's ``src``; its
+    stdout, stripped."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD], env=env, capture_output=True,
+        [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_default_backends_import_nothing_in_the_worker():
+    # Workers are forked from a process that imported the server; a
+    # backend that imports a solver module lazily pays that import in
+    # every worker of every race.
+    assert _run_python(_IMPORT_GUARD) == "[]"
+
+
+def test_server_does_not_import_the_sat_solver():
+    # No default backend runs the CDCL solver, so the server (and every
+    # worker it forks) must not pay its import.
+    loaded = _run_python(textwrap.dedent("""
+        import sys
+
+        import repro.service.server  # noqa: F401
+        print(sorted(m for m in sys.modules if m.startswith("repro.sat")))
+    """))
+    assert loaded == "[]"

@@ -34,8 +34,20 @@ class TestBudget:
         clock = SearchBudget(max_seconds=0.05).start()
         time.sleep(0.08)
         with pytest.raises(BudgetExceeded):
-            for _ in range(128):  # time is sampled every 64 ticks
-                clock.tick()
+            clock.tick()  # the clock is read on every tick
+
+    def test_hooks_polled_after_poll_seconds(self):
+        # A slow expansion must not hold the poll (and the race's stop
+        # word) back until poll_interval nodes have passed.
+        polls = []
+        hooks = BoundHooks(
+            poll_upper=lambda: polls.append(1), poll_interval=10**6
+        )
+        clock = SearchBudget(hooks=hooks).start()
+        assert len(polls) == 1  # the poll at start
+        time.sleep(0.02)
+        clock.tick()
+        assert len(polls) == 2
 
     def test_elapsed(self):
         clock = SearchBudget().start()

@@ -1,5 +1,7 @@
 """Tests for BB-ghw and A*-ghw — exactness, anytime bounds, budgets."""
 
+import time
+
 import pytest
 
 from repro.hypergraph import Hypergraph
@@ -9,6 +11,7 @@ from repro.hypergraph.generators import (
     clique_hypergraph,
     grid2d_hypergraph,
 )
+from repro.instances import get_instance
 from repro.search import (
     SearchBudget,
     astar_ghw,
@@ -116,6 +119,16 @@ class TestBudgets:
         small = astar_ghw(h, budget=SearchBudget(max_nodes=5))
         large = astar_ghw(h, budget=SearchBudget(max_nodes=200))
         assert large.lower_bound >= small.lower_bound
+
+    def test_time_budget_stops_within_a_node(self):
+        # One A*-ghw expansion on c499 costs a few hundred milliseconds,
+        # so the budget holds only if the clock is read at every node.
+        h = get_instance("c499").build()
+        started = time.monotonic()
+        result = astar_ghw(h, budget=SearchBudget(max_seconds=1.0))
+        assert time.monotonic() - started < 3.0
+        assert result.stats.budget_exhausted
+        assert 1 <= result.lower_bound <= result.upper_bound
 
 
 class TestGhwVsTreewidth:
