@@ -18,6 +18,7 @@ from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import random_gnm_graph, random_hypergraph
 from repro.instances import get_instance
 from repro.search import (
+    BoundHooks,
     SearchBudget,
     astar_fhw,
     astar_ghw,
@@ -175,3 +176,285 @@ def test_search_tree_pinned(
     assert result.lower_bound == lower
     assert result.ordering == ordering
     assert result.stats.nodes_expanded == nodes
+
+
+# The same searches wired to an external incumbent channel polled at
+# every node: the external ``(ub, lb)`` is the optimum on both sides, on
+# one side only, or one off it.  Each row fixes the result, the
+# adoption and publication counters and the published ``(kind, value)``
+# stream.
+# (search, instance, ext_ub, ext_lb, upper, lower, exact, nodes,
+#  bounds_adopted, bounds_published, ordering, stream)
+HOOKED = [
+    ("astar_tw", "myciel4", 10, 10, 11, 10, False, 1, 1, 2,
+     [10, 22, 18, 14, 4, 1, 12, 16, 20, 8, 0, 11, 15, 19, 5, 6, 13, 17, 2, 21,
+      3, 7, 9],
+     [("lb", 8), ("ub", 11)]),
+    ("astar_tw", "myciel4", 10, None, 11, 10, False, 1312, 0, 4,
+     [10, 22, 18, 14, 4, 1, 12, 16, 20, 8, 0, 11, 15, 19, 5, 6, 13, 17, 2, 21,
+      3, 7, 9],
+     [("lb", 8), ("ub", 11), ("lb", 9), ("lb", 10)]),
+    ("astar_tw", "myciel4", None, 10, 10, 10, True, 1313, 1, 4,
+     [4, 10, 14, 18, 22, 1, 12, 16, 20, 8, 9, 13, 0, 2, 3, 5, 6, 7, 11, 15, 17,
+      19, 21],
+     [("lb", 8), ("ub", 11), ("ub", 10), ("lb", 10)]),
+    ("astar_tw", "myciel4", 11, None, 10, 10, True, 1313, 0, 6,
+     [4, 10, 14, 18, 22, 1, 12, 16, 20, 8, 9, 13, 0, 2, 3, 5, 6, 7, 11, 15, 17,
+      19, 21],
+     [("lb", 8), ("ub", 11), ("lb", 9), ("lb", 10), ("ub", 10), ("lb", 10)]),
+    ("astar_tw", "myciel4", None, 9, 10, 10, True, 1313, 1, 5,
+     [4, 10, 14, 18, 22, 1, 12, 16, 20, 8, 9, 13, 0, 2, 3, 5, 6, 7, 11, 15, 17,
+      19, 21],
+     [("lb", 8), ("ub", 11), ("lb", 10), ("ub", 10), ("lb", 10)]),
+    ("astar_tw", "gnm16", 7, 7, 7, 7, True, 0, 1, 2,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7)]),
+    ("astar_tw", "gnm16", 7, None, 7, 7, True, 47, 0, 3,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7), ("lb", 7)]),
+    ("astar_tw", "gnm16", None, 7, 7, 7, True, 0, 1, 2,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7)]),
+    ("astar_tw", "gnm16", 8, None, 7, 7, True, 47, 0, 3,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7), ("lb", 7)]),
+    ("astar_tw", "gnm16", None, 6, 7, 7, True, 47, 0, 3,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7), ("lb", 7)]),
+    ("bb_tw", "myciel4", 10, 10, 11, 10, False, 1, 1, 2,
+     [10, 22, 18, 14, 4, 1, 12, 16, 20, 8, 0, 11, 15, 19, 5, 6, 13, 17, 2, 21,
+      3, 7, 9],
+     [("lb", 8), ("ub", 11)]),
+    ("bb_tw", "myciel4", 10, None, 11, 10, False, 1312, 0, 3,
+     [10, 22, 18, 14, 4, 1, 12, 16, 20, 8, 0, 11, 15, 19, 5, 6, 13, 17, 2, 21,
+      3, 7, 9],
+     [("lb", 8), ("ub", 11), ("lb", 10)]),
+    ("bb_tw", "myciel4", None, 10, 10, 10, True, 14, 1, 3,
+     [0, 1, 4, 10, 14, 3, 18, 12, 22, 8, 13, 9, 2, 5, 6, 7, 11, 15, 16, 17, 19,
+      20, 21],
+     [("lb", 8), ("ub", 11), ("ub", 10)]),
+    ("bb_tw", "myciel4", 11, None, 10, 10, True, 1324, 0, 4,
+     [0, 1, 4, 10, 14, 3, 18, 12, 22, 8, 13, 9, 2, 5, 6, 7, 11, 15, 16, 17, 19,
+      20, 21],
+     [("lb", 8), ("ub", 11), ("ub", 10), ("lb", 10)]),
+    ("bb_tw", "myciel4", None, 9, 10, 10, True, 1324, 0, 4,
+     [0, 1, 4, 10, 14, 3, 18, 12, 22, 8, 13, 9, 2, 5, 6, 7, 11, 15, 16, 17, 19,
+      20, 21],
+     [("lb", 8), ("ub", 11), ("ub", 10), ("lb", 10)]),
+    ("bb_tw", "gnm16", 7, 7, 7, 7, True, 1, 1, 2,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7)]),
+    ("bb_tw", "gnm16", 7, None, 7, 7, True, 47, 0, 3,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7), ("lb", 7)]),
+    ("bb_tw", "gnm16", None, 7, 7, 7, True, 1, 1, 2,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7)]),
+    ("bb_tw", "gnm16", 8, None, 7, 7, True, 47, 0, 3,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7), ("lb", 7)]),
+    ("bb_tw", "gnm16", None, 6, 7, 7, True, 47, 0, 3,
+     [4, 12, 10, 3, 13, 2, 14, 1, 11, 15, 5, 0, 6, 7, 8, 9],
+     [("lb", 6), ("ub", 7), ("lb", 7)]),
+    ("astar_ghw", "grid4", 3, 3, 4, 3, False, 0, 0, 3,
+     [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (1, 0), (1, 3), (3, 1), (0, 2),
+      (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)],
+     [("lb", 3), ("ub", 4), ("lb", 3)]),
+    ("astar_ghw", "grid4", 3, None, 4, 3, False, 0, 0, 3,
+     [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (1, 0), (1, 3), (3, 1), (0, 2),
+      (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)],
+     [("lb", 3), ("ub", 4), ("lb", 3)]),
+    ("astar_ghw", "grid4", None, 3, 3, 3, True, 12, 0, 5,
+     [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (2, 2), (3, 3),
+      (1, 3), (2, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
+     [("lb", 3), ("ub", 4), ("ub", 3), ("ub", 3), ("lb", 3)]),
+    ("astar_ghw", "grid4", 4, None, 3, 3, True, 12, 0, 5,
+     [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (2, 2), (3, 3),
+      (1, 3), (2, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
+     [("lb", 3), ("ub", 4), ("ub", 3), ("ub", 3), ("lb", 3)]),
+    ("astar_ghw", "grid4", None, 2, 3, 3, True, 12, 0, 5,
+     [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (2, 2), (3, 3),
+      (1, 3), (2, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
+     [("lb", 3), ("ub", 4), ("ub", 3), ("ub", 3), ("lb", 3)]),
+    ("astar_ghw", "rh12", 3, 3, 3, 3, True, 0, 1, 2,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3)]),
+    ("astar_ghw", "rh12", 3, None, 3, 3, True, 60, 0, 3,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3), ("lb", 3)]),
+    ("astar_ghw", "rh12", None, 3, 3, 3, True, 0, 1, 2,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3)]),
+    ("astar_ghw", "rh12", 4, None, 3, 3, True, 60, 0, 3,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3), ("lb", 3)]),
+    ("astar_ghw", "rh12", None, 2, 3, 3, True, 60, 0, 3,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3), ("lb", 3)]),
+    ("astar_ghw", "gnm14", 4, 4, 4, 4, True, 0, 1, 2,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4)]),
+    ("astar_ghw", "gnm14", 4, None, 4, 4, True, 82, 0, 3,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4), ("lb", 4)]),
+    ("astar_ghw", "gnm14", None, 4, 4, 4, True, 0, 1, 2,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4)]),
+    ("astar_ghw", "gnm14", 5, None, 4, 4, True, 82, 0, 3,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4), ("lb", 4)]),
+    ("astar_ghw", "gnm14", None, 3, 4, 4, True, 82, 0, 3,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4), ("lb", 4)]),
+    ("bb_ghw", "grid4", 3, 3, 4, 3, False, 1, 1, 2,
+     [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (1, 0), (1, 3), (3, 1), (0, 2),
+      (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)],
+     [("lb", 3), ("ub", 4)]),
+    ("bb_ghw", "grid4", 3, None, 4, 3, False, 1, 0, 3,
+     [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (1, 0), (1, 3), (3, 1), (0, 2),
+      (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)],
+     [("lb", 3), ("ub", 4), ("lb", 3)]),
+    ("bb_ghw", "grid4", None, 3, 3, 3, True, 11, 0, 4,
+     [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 0),
+      (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)],
+     [("lb", 3), ("ub", 4), ("ub", 3), ("lb", 3)]),
+    ("bb_ghw", "grid4", 4, None, 3, 3, True, 11, 0, 4,
+     [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 0),
+      (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)],
+     [("lb", 3), ("ub", 4), ("ub", 3), ("lb", 3)]),
+    ("bb_ghw", "grid4", None, 2, 3, 3, True, 11, 0, 4,
+     [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 0),
+      (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)],
+     [("lb", 3), ("ub", 4), ("ub", 3), ("lb", 3)]),
+    ("bb_ghw", "rh12", 3, 3, 3, 3, True, 1, 1, 2,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3)]),
+    ("bb_ghw", "rh12", 3, None, 3, 3, True, 60, 0, 3,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3), ("lb", 3)]),
+    ("bb_ghw", "rh12", None, 3, 3, 3, True, 1, 1, 2,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3)]),
+    ("bb_ghw", "rh12", 4, None, 3, 3, True, 60, 0, 3,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3), ("lb", 3)]),
+    ("bb_ghw", "rh12", None, 2, 3, 3, True, 60, 0, 3,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", 2), ("ub", 3), ("lb", 3)]),
+    ("bb_ghw", "gnm14", 4, 4, 4, 4, True, 1, 1, 2,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4)]),
+    ("bb_ghw", "gnm14", 4, None, 4, 4, True, 82, 0, 3,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4), ("lb", 4)]),
+    ("bb_ghw", "gnm14", None, 4, 4, 4, True, 1, 1, 2,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4)]),
+    ("bb_ghw", "gnm14", 5, None, 4, 4, True, 82, 0, 3,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4), ("lb", 4)]),
+    ("bb_ghw", "gnm14", None, 3, 4, 4, True, 82, 0, 3,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4), ("lb", 4)]),
+    ("astar_fhw", "grid4", 3, 3, 4, 3, False, 1, 1, 2,
+     [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (1, 0), (1, 3), (3, 1), (0, 2),
+      (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)],
+     [("lb", Fraction(5, 2)), ("ub", 4)]),
+    ("astar_fhw", "grid4", 3, None, 4, 3, False, 72, 0, 3,
+     [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (1, 0), (1, 3), (3, 1), (0, 2),
+      (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)],
+     [("lb", Fraction(5, 2)), ("ub", 4), ("lb", 3)]),
+    ("astar_fhw", "grid4", None, 3, 3, 3, True, 76, 1, 5,
+     [(0, 0), (0, 1), (0, 3), (1, 3), (3, 0), (3, 1), (3, 2), (3, 3), (2, 2),
+      (2, 3), (1, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)],
+     [("lb", Fraction(5, 2)), ("ub", 4), ("ub", 3), ("ub", 3), ("lb", 3)]),
+    ("astar_fhw", "grid4", 4, None, 3, 3, True, 76, 0, 6,
+     [(0, 0), (0, 1), (0, 3), (1, 3), (3, 0), (3, 1), (3, 2), (3, 3), (2, 2),
+      (2, 3), (1, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)],
+     [("lb", Fraction(5, 2)), ("ub", 4), ("lb", 3), ("ub", 3), ("ub", 3),
+      ("lb", 3)]),
+    ("astar_fhw", "grid4", None, 2, 3, 3, True, 76, 0, 6,
+     [(0, 0), (0, 1), (0, 3), (1, 3), (3, 0), (3, 1), (3, 2), (3, 3), (2, 2),
+      (2, 3), (1, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)],
+     [("lb", Fraction(5, 2)), ("ub", 4), ("lb", 3), ("ub", 3), ("ub", 3),
+      ("lb", 3)]),
+    ("astar_fhw", "rh12", Fraction(5, 2), Fraction(5, 2), 3, Fraction(5, 2),
+     False, 1, 1, 2,
+     [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
+     [("lb", Fraction(4, 3)), ("ub", 3)]),
+    ("astar_fhw", "rh12", Fraction(5, 2), None, Fraction(8, 3), Fraction(5, 2),
+     False, 60, 0, 5,
+     [1, 7, 5, 0, 3, 6, 2, 4, 8, 9, 10, 11],
+     [("lb", Fraction(4, 3)), ("ub", 3), ("lb", 2), ("ub", Fraction(8, 3)),
+      ("lb", Fraction(5, 2))]),
+    ("astar_fhw", "rh12", None, Fraction(5, 2), Fraction(5, 2), Fraction(5, 2),
+     True, 61, 1, 6,
+     [1, 7, 5, 0, 2, 3, 4, 6, 8, 9, 10, 11],
+     [("lb", Fraction(4, 3)), ("ub", 3), ("ub", Fraction(8, 3)),
+      ("ub", Fraction(5, 2)), ("ub", Fraction(5, 2)), ("lb", Fraction(5, 2))]),
+    ("astar_fhw", "rh12", Fraction(7, 2), None, Fraction(5, 2), Fraction(5, 2),
+     True, 61, 0, 8,
+     [1, 7, 5, 0, 2, 3, 4, 6, 8, 9, 10, 11],
+     [("lb", Fraction(4, 3)), ("ub", 3), ("lb", 2), ("ub", Fraction(8, 3)),
+      ("lb", Fraction(5, 2)), ("ub", Fraction(5, 2)), ("ub", Fraction(5, 2)),
+      ("lb", Fraction(5, 2))]),
+    ("astar_fhw", "rh12", None, Fraction(3, 2), Fraction(5, 2), Fraction(5, 2),
+     True, 61, 1, 8,
+     [1, 7, 5, 0, 2, 3, 4, 6, 8, 9, 10, 11],
+     [("lb", Fraction(4, 3)), ("ub", 3), ("lb", 2), ("ub", Fraction(8, 3)),
+      ("lb", Fraction(5, 2)), ("ub", Fraction(5, 2)), ("ub", Fraction(5, 2)),
+      ("lb", Fraction(5, 2))]),
+    ("astar_fhw", "gnm14", Fraction(7, 2), Fraction(7, 2), 4, Fraction(7, 2),
+     False, 1, 1, 2,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4)]),
+    ("astar_fhw", "gnm14", Fraction(7, 2), None, 4, Fraction(7, 2), False, 82,
+     0, 3,
+     [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
+     [("lb", 3), ("ub", 4), ("lb", Fraction(7, 2))]),
+    ("astar_fhw", "gnm14", None, Fraction(7, 2), Fraction(7, 2), Fraction(7,
+     2), True, 97, 1, 5,
+     [11, 6, 2, 3, 9, 0, 13, 8, 10, 4, 12, 1, 5, 7],
+     [("lb", 3), ("ub", 4), ("ub", Fraction(7, 2)), ("ub", Fraction(7, 2)),
+      ("lb", Fraction(7, 2))]),
+    ("astar_fhw", "gnm14", Fraction(9, 2), None, Fraction(7, 2), Fraction(7,
+     2), True, 97, 0, 6,
+     [11, 6, 2, 3, 9, 0, 13, 8, 10, 4, 12, 1, 5, 7],
+     [("lb", 3), ("ub", 4), ("lb", Fraction(7, 2)), ("ub", Fraction(7, 2)),
+      ("ub", Fraction(7, 2)), ("lb", Fraction(7, 2))]),
+    ("astar_fhw", "gnm14", None, Fraction(5, 2), Fraction(7, 2), Fraction(7,
+     2), True, 97, 0, 6,
+     [11, 6, 2, 3, 9, 0, 13, 8, 10, 4, 12, 1, 5, 7],
+     [("lb", 3), ("ub", 4), ("lb", Fraction(7, 2)), ("ub", Fraction(7, 2)),
+      ("ub", Fraction(7, 2)), ("lb", Fraction(7, 2))]),
+]
+
+
+@pytest.mark.parametrize(
+    "search,name,ext_ub,ext_lb,upper,lower,exact,nodes,adopted,published,"
+    "ordering,stream",
+    HOOKED,
+    ids=[f"{row[0]}-{row[1]}-ub{row[2]}-lb{row[3]}" for row in HOOKED],
+)
+def test_search_under_hooks_pinned(
+    search, name, ext_ub, ext_lb, upper, lower, exact, nodes, adopted,
+    published, ordering, stream,
+):
+    seen = []
+    hooks = BoundHooks(
+        poll_upper=lambda: ext_ub,
+        poll_lower=lambda: ext_lb,
+        publish_upper=lambda value: seen.append(("ub", value)),
+        publish_lower=lambda value: seen.append(("lb", value)),
+        poll_interval=1,
+    )
+    budget = SearchBudget(hooks=hooks)
+    result = SEARCHES[search](_instance(name), budget=budget)
+    assert result.upper_bound == upper
+    assert result.lower_bound == lower
+    assert result.exact == exact
+    assert result.ordering == ordering
+    assert result.stats.nodes_expanded == nodes
+    assert result.stats.bounds_adopted == adopted
+    assert result.stats.bounds_published == published
+    assert seen == stream
