@@ -2,10 +2,8 @@
 hypertree width."""
 
 from .ghw_lower import (
-    bag_cover_bound,
     clique_cover_lower_bound,
     ghw_lower_bound,
-    ghw_trivial_upper_bound,
     tw_ksc_width,
 )
 from .mcs import (
@@ -31,7 +29,6 @@ from .upper import (
 )
 
 __all__ = [
-    "bag_cover_bound",
     "best_heuristic_ordering",
     "chordal_treewidth",
     "clique_cover_lower_bound",
@@ -42,7 +39,6 @@ __all__ = [
     "degeneracy_lower_bound",
     "gamma_r",
     "ghw_lower_bound",
-    "ghw_trivial_upper_bound",
     "min_degree_ordering",
     "min_fill_ordering",
     "min_width_ordering",

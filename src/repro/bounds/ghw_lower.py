@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from ..hypergraph.hypergraph import Hypergraph
-from ..setcover.ksc import UNCOVERABLE, cover_lower_bound, ksc_lower_bound
+from ..setcover.ksc import cover_lower_bound, ksc_lower_bound
 from .lower import treewidth_lower_bound
 
 
@@ -89,16 +89,3 @@ def ghw_lower_bound(
         clique_cover_lower_bound(hypergraph),
     )
 
-
-def ghw_trivial_upper_bound(hypergraph: Hypergraph) -> int:
-    """ghw never exceeds the number of hyperedges (cover everything)."""
-    return hypergraph.num_edges
-
-
-def bag_cover_bound(bag: frozenset, hypergraph: Hypergraph) -> int:
-    """k-set-cover lower bound for one concrete bag — used node-wise
-    inside the ghw searches (h-values must never overestimate)."""
-    bound = cover_lower_bound(bag, hypergraph)
-    if bound >= UNCOVERABLE:
-        raise ValueError("bag contains vertices no hyperedge covers")
-    return bound

@@ -2,7 +2,8 @@
 
 The fhw analogue of :mod:`.astar_ghw`, and deliberately almost nothing
 but a re-instantiation of it: the search walks the *same* elimination
-tree (``_astar_ghw_run`` is reused verbatim) with a
+tree (:func:`~.ordering_search.best_first` over
+:class:`~.ghw_common.GhwCosts`) with a
 :class:`~repro.search.ghw_common.GhwSearchContext` whose measure is
 ``"fractional"`` — every bag costs its exact rational LP optimum
 (:mod:`repro.setcover.fractional`) instead of its minimum integral
@@ -26,22 +27,14 @@ from __future__ import annotations
 
 import random
 
-from ..bounds.upper import best_heuristic_ordering
-from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.hypergraph import Hypergraph
 from ..setcover.bitcover import BitCoverEngine
 from ..setcover.fractional import fractional_set_cover
 from ..telemetry import Metrics
 from ..widths import Width, as_width
-from .astar_ghw import _astar_ghw_run
-from .common import (
-    SearchBudget,
-    SearchResult,
-    SearchStats,
-    brute_force_elimination_width,
-    root_settled,
-)
-from .ghw_common import GhwSearchContext, initial_ghw_bounds
+from .common import SearchBudget, SearchResult, brute_force_elimination_width
+from .ghw_common import ghw_search
+from .ordering_search import best_first
 
 
 def astar_fhw(
@@ -61,39 +54,11 @@ def astar_fhw(
     caller-owned cover engine, whose solved LPs can then certify the
     result (``fhd_from_ordering(..., engine=engine)``).
     """
-    stats = SearchStats()
-    isolated = hypergraph.isolated_vertices()
-    if isolated:
-        raise ValueError(
-            f"hypergraph has isolated vertices {sorted(map(repr, isolated))}; "
-            "no fractional hypertree decomposition exists"
-        )
-    if hypergraph.num_edges == 0:
-        return SearchResult(0, 0, hypergraph.vertex_list(), True, stats)
-    graph = BitGraph.from_hypergraph(hypergraph)
-    context = GhwSearchContext(
-        hypergraph, metrics=metrics, measure="fractional", engine=engine
+    return ghw_search(
+        best_first, "astar-fhw", hypergraph, budget, rng,
+        measure="fractional", metrics=metrics, engine=engine,
+        use_reductions=use_reductions, use_pr2=use_pr2,
     )
-    all_vertices = graph.vertex_list()
-    if graph.num_vertices <= 1:
-        return SearchResult(1, 1, all_vertices, True, stats)
-
-    lb: Width = context.heuristic(graph)
-    ub_ordering, _tw = best_heuristic_ordering(hypergraph, rng)
-    ub = initial_ghw_bounds(hypergraph, context, ub_ordering)
-    if lb >= ub:
-        return root_settled(budget, stats, ub, ub_ordering)
-
-    clock = (budget or SearchBudget()).start()
-    span = clock.tracer.span(
-        "search", algo="astar-fhw", n=graph.num_vertices,
-        edges=hypergraph.num_edges, lb=lb, ub=ub,
-    )
-    with span:
-        return _astar_ghw_run(
-            graph, clock, stats, context, all_vertices, lb, ub, ub_ordering,
-            use_reductions, False, use_pr2,
-        )
 
 
 def brute_force_fhw(hypergraph: Hypergraph) -> Width:
