@@ -1,5 +1,8 @@
-"""Exact search algorithms: A*-tw (Ch. 5), BB-tw (§4.4), BB-ghw (Ch. 8)
-and A*-ghw (Ch. 9), plus their shared reductions and pruning rules."""
+"""Exact search algorithms: A*-tw (Ch. 5), BB-tw (§4.4), BB-ghw (Ch. 8),
+A*-ghw (Ch. 9) and A*-fhw — one elimination-ordering search
+(:mod:`.ordering_search`) under different bag costs — plus their shared
+reductions and pruning rules, and the hypertree-width deciders
+det-k-decomp and opt-k-decomp."""
 
 from .astar_fhw import astar_fhw, brute_force_fhw
 from .astar_ghw import astar_ghw
