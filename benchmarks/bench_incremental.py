@@ -40,7 +40,7 @@ from repro.portfolio import IncrementalSolver
 from _harness import METRICS, bench_seed, report, scale
 
 SPEEDUP_TARGET = 5.0
-COLD_BACKENDS = ["bb-ghw", "min-fill-ghw"]
+COLD_BACKENDS = ["bb-ghw"]
 
 
 def _config() -> dict:

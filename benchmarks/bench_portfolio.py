@@ -11,9 +11,9 @@ exchange.  Two properties are checked:
 * **Wall-clock win** (enforced at ``REPRO_BENCH_SCALE >= 0.25``,
   report-only below): on at least one instance the portfolio finishes
   faster than some standalone backend.  This is the shared channel
-  paying for itself — e.g. the min-fill seed's incumbent lets A* skip
-  most of its frontier, and a decided race stops the other searches —
-  not mere parallelism (the CI box has a single core).
+  paying for itself — one search's incumbent or proof prunes the
+  other's frontier, and a decided race stops the other searches — not
+  mere parallelism (the CI box has a single core).
 
 Results go to ``benchmarks/results/portfolio.{txt,json}`` with the
 git SHA / seed / scale stamp.  Runs standalone too::

@@ -1,10 +1,9 @@
 """Parallel anytime portfolio solver with shared incumbent bounds.
 
 Races the repo's exact width searches (A*/BB for tw, ghw and fhw,
-opt-k-decomp for hw, plus the min-fill seed) in worker processes;
-workers exchange incumbent bounds through a shared channel so each
-tightens its pruning from the others' progress.  See
-:func:`run_portfolio`.
+opt-k-decomp for hw) in worker processes; workers exchange incumbent
+bounds through a shared channel so each tightens its pruning from the
+others' progress.  See :func:`run_portfolio`.
 """
 
 from .backends import (

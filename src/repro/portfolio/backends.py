@@ -8,10 +8,9 @@ hypergraphs (graphs are lifted).  fhw bounds are exact rationals
 (``int`` or ``Fraction``) — the shared channel and the reports carry
 them without rounding.
 
-The ``min-fill`` backend is the portfolio's seed: it computes the greedy
-heuristic bounds in milliseconds and publishes them, so the expensive
-searches start with a tight incumbent no matter which worker wins the
-scheduling race.
+Every default backend is an exact search that computes the min-fill
+upper bound and its metric's lower bound at its own root and publishes
+them, so the race needs no separate worker to seed an incumbent.
 
 Every default backend's solver module is imported here, at module
 level: the runner forks its workers from a process that has imported
@@ -24,20 +23,13 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
-from ..bounds.ghw_lower import ghw_lower_bound
-from ..bounds.lower import minor_gamma_r, minor_min_width
-from ..bounds.upper import best_heuristic_ordering, min_fill_ordering
 from ..decomposition import (
     TreeDecomposition,
     bucket_elimination,
     fhd_from_ordering,
     ghd_from_ordering,
-    ghw_ordering_width,
 )
-from ..decomposition.htd import htd_from_ordering
-from ..hypergraph.bitgraph import BitGraph
 from ..hypergraph.graph import Graph
 from ..hypergraph.hypergraph import Hypergraph
 from ..search import (
@@ -50,10 +42,8 @@ from ..search import (
     branch_and_bound_treewidth,
     opt_k_decomp,
 )
-from ..search.ghw_common import GhwSearchContext, initial_ghw_bounds
 from ..setcover import exact_set_cover
 from ..setcover.bitcover import BitCoverEngine
-from ..verify.certificate import assert_certified
 from ..widths import Width
 
 
@@ -76,7 +66,6 @@ class BackendConfig:
     max_nodes: int | None = None
     seed: int = 0
     deterministic: bool = False
-    poll_interval: int = 64
     trace: bool = False
     initial_upper: int | None = None
     initial_lower: int | None = None
@@ -259,86 +248,6 @@ def _run_astar_fhw(structure, config: BackendConfig, hooks: BoundHooks):
     )
 
 
-# -- min-fill seed backends ---------------------------------------------
-
-
-def _minfill_tw_bounds(graph: Graph, rng: random.Random):
-    lb = max(minor_min_width(graph, rng), minor_gamma_r(graph, rng))
-    ordering, ub = best_heuristic_ordering(graph, rng)
-    return lb, ub, list(ordering), None
-
-
-def _minfill_ghw_bounds(hypergraph: Hypergraph, rng: random.Random):
-    lb = ghw_lower_bound(hypergraph, rng)
-    ordering, _tw = best_heuristic_ordering(hypergraph, rng)
-    ub = ghw_ordering_width(hypergraph, list(ordering))
-    return lb, ub, list(ordering), None
-
-
-def _minfill_hw_bounds(hypergraph: Hypergraph, rng: random.Random):
-    """A certified ``htd_from_ordering`` witness on the min-fill
-    ordering for the upper bound, the ghw lower-bound battery
-    (ghw ≤ hw) for the lower."""
-    lb = ghw_lower_bound(hypergraph, rng)
-    htd = htd_from_ordering(hypergraph, min_fill_ordering(hypergraph, rng))
-    assert_certified(htd, hypergraph, "min-fill hw witness")
-    return lb, htd.ghw_width, None, htd
-
-
-def _minfill_fhw_bounds(hypergraph: Hypergraph, rng: random.Random):
-    """Min-fill ordering scored with exact rational LP covers for the
-    upper bound, the un-ceiled (mmw+1)/rank bound for the lower."""
-    context = GhwSearchContext(hypergraph, measure="fractional")
-    lb = context.heuristic(BitGraph.from_hypergraph(hypergraph))
-    ordering, _tw = best_heuristic_ordering(hypergraph, rng)
-    ub = initial_ghw_bounds(hypergraph, context, list(ordering))
-    return lb, ub, list(ordering), None
-
-
-def _run_minfill(
-    name: str, metric: str, bounds: Callable, structure,
-    config: BackendConfig, hooks: BoundHooks,
-):
-    """A seed backend: ``bounds(structure, rng)`` returns
-    ``(lb, ub, ordering, witness)`` in milliseconds, published before
-    the report goes home; a None ``witness`` is then built from
-    ``ordering``.  Edgeless instances (vertexless graphs for tw) have
-    width 0, publish nothing and ship no witness: no λ-label covers an
-    isolated vertex, and the service rejects both shapes before solving."""
-    if metric == "tw":
-        structure = (
-            structure.primal_graph()
-            if isinstance(structure, Hypergraph)
-            else structure.copy()
-        )
-        empty = structure.num_vertices == 0
-    else:
-        structure = _as_hypergraph(structure)
-        empty = structure.num_edges == 0
-    if empty:
-        return BackendReport(
-            backend=name, upper_bound=0, lower_bound=0,
-            ordering=None if metric == "hw" else structure.vertex_list(),
-            exact=True,
-        )
-    lb, ub, ordering, witness = bounds(structure, random.Random(config.seed))
-    if hooks.publish_lower is not None:
-        hooks.publish_lower(lb)
-    if hooks.publish_upper is not None:
-        hooks.publish_upper(ub)
-    if witness is None:
-        witness = _certificate(metric, structure, ordering, hooks)
-    return BackendReport(
-        backend=name,
-        upper_bound=ub,
-        lower_bound=lb,
-        ordering=ordering,
-        exact=lb >= ub,
-        nodes=0,
-        witness=witness,
-    )
-
-
 def _run_balanced_ghw(structure, config: BackendConfig, hooks: BoundHooks):
     """Balanced-separator splitting (`repro.parallel`).
 
@@ -388,35 +297,19 @@ BACKENDS: dict[str, BackendSpec] = {
     for spec in (
         BackendSpec("astar-tw", "tw", _run_astar_tw),
         BackendSpec("bb-tw", "tw", _run_bb_tw),
-        BackendSpec(
-            "min-fill", "tw",
-            partial(_run_minfill, "min-fill", "tw", _minfill_tw_bounds),
-        ),
         BackendSpec("bb-ghw", "ghw", _run_bb_ghw),
         BackendSpec("astar-ghw", "ghw", _run_astar_ghw),
-        BackendSpec(
-            "min-fill-ghw", "ghw",
-            partial(_run_minfill, "min-fill-ghw", "ghw", _minfill_ghw_bounds),
-        ),
         BackendSpec("balanced-ghw", "ghw", _run_balanced_ghw),
         BackendSpec("astar-fhw", "fhw", _run_astar_fhw),
-        BackendSpec(
-            "min-fill-fhw", "fhw",
-            partial(_run_minfill, "min-fill-fhw", "fhw", _minfill_fhw_bounds),
-        ),
         BackendSpec("optk-hw", "hw", _run_optk_hw),
-        BackendSpec(
-            "min-fill-hw", "hw",
-            partial(_run_minfill, "min-fill-hw", "hw", _minfill_hw_bounds),
-        ),
     )
 }
 
 DEFAULT_BACKENDS: dict[str, tuple[str, ...]] = {
-    "tw": ("astar-tw", "bb-tw", "min-fill"),
-    "ghw": ("bb-ghw", "astar-ghw", "min-fill-ghw"),
-    "fhw": ("astar-fhw", "min-fill-fhw"),
-    "hw": ("optk-hw", "min-fill-hw"),
+    "tw": ("astar-tw", "bb-tw"),
+    "ghw": ("bb-ghw", "astar-ghw"),
+    "fhw": ("astar-fhw",),
+    "hw": ("optk-hw",),
 }
 
 

@@ -148,7 +148,7 @@ def _worker_main(name, structure, config, shared, report_queue, t0):
     )
     recorder = EventRecorder(name, t0)
     hooks = make_worker_hooks(
-        shared, recorder, config.poll_interval, tracer=tracer,
+        shared, recorder, tracer=tracer,
         initial_upper=config.initial_upper,
         initial_lower=config.initial_lower,
     )
@@ -178,7 +178,6 @@ def run_portfolio(
     seed: int = 0,
     deterministic: bool = False,
     metric: str | None = None,
-    poll_interval: int = 64,
     trace: str | None = None,
     initial_upper: int | None = None,
     initial_lower: int | None = None,
@@ -242,7 +241,6 @@ def run_portfolio(
         max_nodes=max_nodes,
         seed=seed,
         deterministic=deterministic,
-        poll_interval=poll_interval,
         trace=trace is not None,
         initial_upper=initial_upper,
         initial_lower=initial_lower,

@@ -158,7 +158,6 @@ def _read(pair) -> Width | None:
 def make_worker_hooks(
     shared: SharedBounds | None,
     recorder: EventRecorder,
-    poll_interval: int = 64,
     tracer=NULL_TRACER,
     initial_upper: Width | None = None,
     initial_lower: Width | None = None,
@@ -195,7 +194,6 @@ def make_worker_hooks(
             ),
             publish_upper=lambda v: recorder.record("ub", v),
             publish_lower=lambda v: recorder.record("lb", v),
-            poll_interval=poll_interval,
             tracer=tracer,
         )
 
@@ -224,7 +222,6 @@ def make_worker_hooks(
         poll_lower=shared.lower,
         publish_upper=publish_upper,
         publish_lower=publish_lower,
-        poll_interval=poll_interval,
         tracer=tracer,
         should_stop=shared.stopped,
     )

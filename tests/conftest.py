@@ -140,6 +140,23 @@ def _lock_stall_backend(structure, config, hooks):
         time.sleep(0.05)
 
 
+def _ordering_only_backend(structure, config, hooks):
+    """Finish at once with a witnessed but loose tw bracket: the width
+    of the graph's own vertex order, and no lower bound beyond 0 (a
+    finished backend that decides nothing)."""
+    from repro.decomposition import bucket_elimination
+    from repro.portfolio.backends import BackendReport
+
+    ordering = structure.vertex_list()
+    witness = bucket_elimination(structure, ordering)
+    if hooks.publish_upper is not None:
+        hooks.publish_upper(witness.width)
+    return BackendReport(
+        backend="ordering-only", upper_bound=witness.width, lower_bound=0,
+        ordering=ordering, witness=witness,
+    )
+
+
 def _poll_until_stopped_backend(structure, config, hooks):
     """Do no work: only poll the race's stop word until the runner
     writes it (a loser that honours the stop and nothing else)."""
@@ -151,7 +168,8 @@ def _poll_until_stopped_backend(structure, config, hooks):
 @pytest.fixture
 def fault_backends(monkeypatch):
     """Register the ``crash``, ``stall``, ``lock-stall`` and
-    ``poll-until-stopped`` backends for one test.
+    ``poll-until-stopped`` backends, and the tw-only ``ordering-only``,
+    for one test.
 
     Portfolio workers look their backend up by name in ``BACKENDS``;
     forked workers inherit the patched registry.
@@ -167,3 +185,7 @@ def fault_backends(monkeypatch):
         monkeypatch.setitem(
             BACKENDS, name, BackendSpec(name, _AnyMetric("every"), run)
         )
+    monkeypatch.setitem(
+        BACKENDS, "ordering-only",
+        BackendSpec("ordering-only", "tw", _ordering_only_backend),
+    )

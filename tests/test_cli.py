@@ -81,7 +81,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "treewidth = 5" in out
         assert "deterministic" in out
-        assert "astar-tw" in out and "min-fill" in out
+        assert "astar-tw" in out and "bb-tw" in out
 
     def test_portfolio_ghw(self, capsys):
         assert main([
@@ -93,7 +93,7 @@ class TestCommands:
     def test_portfolio_backend_selection_and_timeline(self, capsys):
         assert main([
             "portfolio", "myciel3",
-            "--backends", "min-fill,bb-tw",
+            "--backends", "astar-tw,bb-tw",
             "--jobs", "1", "--budget", "60", "--timeline",
         ]) == 0
         out = capsys.readouterr().out

@@ -116,7 +116,7 @@ class TestPortfolioAgreement:
             exact = astar_treewidth(g.copy())
             result = run_portfolio(
                 g,
-                backends=["astar-tw", "min-fill"],
+                backends=["astar-tw", "bb-tw"],
                 jobs=1,
                 deterministic=True,
                 max_nodes=200_000,

@@ -468,7 +468,7 @@ class TestHwPortfolio:
         assert type(result.witness) is HypertreeDecomposition
         assert check_htd(result.witness, h) == []
         assert result.witness.ghw_width == 3
-        assert set(result.reports) == {"optk-hw", "min-fill-hw"}
+        assert set(result.reports) == {"optk-hw"}
         for report in result.reports.values():
             assert report.error is None
 

@@ -136,7 +136,7 @@ def test_resolve_incremental_matches_scratch_solve():
     rng = random.Random(21)
     solver = IncrementalSolver(h, seed=4, exact_limit=16)
     base = solver.solve(jobs=1, deterministic=True, max_nodes=20000,
-                        backends=["bb-ghw", "min-fill-ghw"])
+                        backends=["bb-ghw", "astar-ghw"])
     assert base.certificate.ok
 
     for _ in range(3):
@@ -151,7 +151,7 @@ def test_resolve_incremental_matches_scratch_solve():
 
         scratch = IncrementalSolver(h.copy(), seed=4, exact_limit=16)
         cold = scratch.solve(jobs=1, deterministic=True, max_nodes=20000,
-                             backends=["bb-ghw", "min-fill-ghw"])
+                             backends=["bb-ghw", "astar-ghw"])
         if warm.exact and cold.exact:
             assert warm.width == cold.width
         else:  # budget-limited: both are certified upper bounds
@@ -195,11 +195,11 @@ def test_incremental_solver_tracks_ordering_repair():
 def test_portfolio_accepts_warm_start_bounds():
     h = random_hypergraph(8, 10, seed=3)
     cold = run_portfolio(
-        h, backends=["min-fill-ghw", "bb-ghw"], jobs=1,
+        h, backends=["astar-ghw", "bb-ghw"], jobs=1,
         deterministic=True, max_nodes=5000, metric="ghw",
     )
     warm = run_portfolio(
-        h, backends=["min-fill-ghw", "bb-ghw"], jobs=1,
+        h, backends=["astar-ghw", "bb-ghw"], jobs=1,
         deterministic=True, max_nodes=5000, metric="ghw",
         initial_upper=cold.upper_bound,
         initial_lower=1,

@@ -256,33 +256,35 @@ class TestBackendRegistry:
 class TestBackendReports:
     @pytest.mark.usefixtures("fault_backends")
     def test_every_report_carries_worker_wall_time(self):
-        # On a cycle min-fill is exact and A*-tw closes on its initial
-        # bounds without expanding a node; both still took time.
-        # A crashing worker's error report is stamped too.
+        # Both exact searches close a cycle on their root bounds; each
+        # still took time.  A crashing worker's error report is stamped
+        # too.
         result = run_portfolio(
-            cycle_graph(6), backends=["min-fill", "astar-tw", "crash"],
+            cycle_graph(6), backends=["bb-tw", "astar-tw", "crash"],
             jobs=1, deterministic=True,
         )
         assert result.exact
         for name, report in result.reports.items():
             assert report.elapsed_seconds > 0, name
 
-    @pytest.mark.parametrize("name,metric,structure", [
-        ("min-fill", "tw", get_instance("myciel3").build()),
-        ("min-fill-ghw", "ghw", get_instance("fano").build()),
-        ("min-fill-hw", "hw", get_instance("fano").build()),
-        ("min-fill-fhw", "fhw", get_instance("fano").build()),
-    ])
-    def test_minfill_publishes_then_reports(self, name, metric, structure):
+    @pytest.mark.parametrize("metric,structure", [
+        ("tw", get_instance("myciel3").build()),
+        ("ghw", get_instance("fano").build()),
+        ("fhw", get_instance("fano").build()),
+        ("hw", get_instance("fano").build()),
+    ], ids=["tw", "ghw", "fhw", "hw"])
+    def test_first_default_backend_publishes_then_reports(
+        self, metric, structure
+    ):
+        name = DEFAULT_BACKENDS[metric][0]
         uppers, lowers = [], []
         hooks = BoundHooks(publish_upper=uppers.append,
                            publish_lower=lowers.append)
         report = BACKENDS[name].run(structure, BackendConfig(), hooks)
         assert report.backend == name and report.error is None
-        assert uppers == [report.upper_bound]
-        assert lowers == [report.lower_bound]
+        assert report.upper_bound in uppers
+        assert report.lower_bound in lowers
         assert report.exact == (report.lower_bound >= report.upper_bound)
-        assert report.nodes == 0
         if metric == "hw":
             assert report.ordering is None
         else:
@@ -295,22 +297,37 @@ class TestBackendReports:
             report.witness, structure, claimed_width=report.upper_bound
         ).ok
 
-    @pytest.mark.parametrize("name,structure,ordering", [
-        ("min-fill", Graph(), []),
-        ("min-fill-ghw", Hypergraph(vertices=[1, 2]), [1, 2]),
-        ("min-fill-hw", Hypergraph(vertices=[1, 2]), None),
-        ("min-fill-fhw", Hypergraph(vertices=[1, 2]), [1, 2]),
-    ])
-    def test_minfill_empty_instance(self, name, structure, ordering):
-        published = []
-        hooks = BoundHooks(publish_upper=published.append,
-                           publish_lower=published.append)
-        report = BACKENDS[name].run(structure, BackendConfig(), hooks)
-        assert (report.upper_bound, report.lower_bound, report.exact) == (
+    @pytest.mark.parametrize("deterministic", [False, True],
+                             ids=["live", "deterministic"])
+    @pytest.mark.parametrize("metric,structure", [
+        ("tw", Graph()),
+        ("ghw", Hypergraph()),
+        ("fhw", Hypergraph()),
+        ("hw", Hypergraph()),
+    ], ids=["tw", "ghw", "fhw", "hw"])
+    def test_empty_instance_race(self, metric, structure, deterministic):
+        result = run_portfolio(
+            structure, metric=metric, jobs=2, deterministic=deterministic,
+        )
+        assert (result.upper_bound, result.lower_bound, result.exact) == (
             0, 0, True
         )
-        assert report.ordering == ordering
-        assert published == []
+        assert type(result.witness) is WITNESS_TYPES[metric]
+        assert certify(result.witness, structure, claimed_width=0).ok
+
+    @pytest.mark.parametrize("deterministic", [False, True],
+                             ids=["live", "deterministic"])
+    @pytest.mark.parametrize("metric", ["ghw", "fhw", "hw"])
+    def test_isolated_vertices_fail_the_race(self, metric, deterministic):
+        # No λ-label covers an isolated vertex: every backend refuses
+        # the instance, so the race has no width to answer.
+        with pytest.raises(
+            PortfolioError, match=r"isolated vertices \['1', '2'\]"
+        ):
+            run_portfolio(
+                Hypergraph(vertices=[1, 2]), metric=metric, jobs=2,
+                deterministic=deterministic,
+            )
 
 
 class TestPortfolioDeterministic:
@@ -365,31 +382,36 @@ class TestPortfolioLive:
             assert result.ordering is not None
 
     def test_closed_bracket_skips_queued_backends(self, tmp_path):
-        # Both exact searches start in the first wave and close myciel3;
-        # the queued min-fill could only repeat the answer.
+        # With one job A*-tw runs alone and closes myciel3; the queued
+        # BB-tw could only repeat the answer.
         path = tmp_path / "skip.jsonl"
         result = run_portfolio(
-            get_instance("myciel3").build(), metric="tw", jobs=2,
+            get_instance("myciel3").build(), metric="tw", jobs=1,
             trace=str(path),
         )
         assert result.exact
         assert result.width == MYCIEL3_TW
-        assert set(result.reports) == {"astar-tw", "bb-tw"}
+        assert set(result.reports) == {"astar-tw"}
         skipped = [
             r["fields"]["backend"] for r in read_jsonl(path)
             if r["name"] == "worker_skipped"
         ]
-        assert skipped == ["min-fill"]
+        assert skipped == ["bb-tw"]
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_single_job_serial_waves(self):
+        # The first wave finishes without deciding the race, so the
+        # second wave still runs and closes it.
         result = run_portfolio(
             get_instance("myciel3").build(),
-            backends=["min-fill", "astar-tw"],
+            backends=["ordering-only", "astar-tw"],
             jobs=1,
             budget_seconds=30.0,
         )
+        assert not result.reports["ordering-only"].exact
         assert result.exact
         assert result.width == MYCIEL3_TW
+        assert result.best_backend == "astar-tw"
 
     @pytest.mark.usefixtures("fault_backends")
     def test_crashing_worker_does_not_sink_the_race(self):
@@ -460,17 +482,19 @@ class TestDeadlineBracket:
         assert shared.upper() == result.upper_bound
         assert result.upper_bound == instance.num_vertices
 
+    @pytest.mark.usefixtures("fault_backends")
     def test_shared_channel_beats_finished_backend_on_lower(self):
         shared = SharedBounds(multiprocessing.get_context())
         shared.propose_lower(2)  # externally injected proof
         result = run_portfolio(
             get_instance("myciel3").build(),
-            backends=["min-fill"],
+            backends=["ordering-only"],  # finishes proving only 0
             jobs=1,
             budget_seconds=10.0,
             shared_bounds=shared,
         )
-        assert result.lower_bound >= 2
+        assert result.reports["ordering-only"].lower_bound == 0
+        assert result.lower_bound == 2
 
     def test_shared_bounds_incompatible_with_deterministic(self):
         shared = SharedBounds(multiprocessing.get_context())

@@ -264,18 +264,18 @@ HOOKED = [
      [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (1, 0), (1, 3), (3, 1), (0, 2),
       (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)],
      [("lb", 3), ("ub", 4), ("lb", 3)]),
-    ("astar_ghw", "grid4", None, 3, 3, 3, True, 12, 0, 5,
+    ("astar_ghw", "grid4", None, 3, 3, 3, True, 12, 0, 4,
      [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (2, 2), (3, 3),
       (1, 3), (2, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
-     [("lb", 3), ("ub", 4), ("ub", 3), ("ub", 3), ("lb", 3)]),
-    ("astar_ghw", "grid4", 4, None, 3, 3, True, 12, 0, 5,
+     [("lb", 3), ("ub", 4), ("ub", 3), ("lb", 3)]),
+    ("astar_ghw", "grid4", 4, None, 3, 3, True, 12, 0, 4,
      [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (2, 2), (3, 3),
       (1, 3), (2, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
-     [("lb", 3), ("ub", 4), ("ub", 3), ("ub", 3), ("lb", 3)]),
-    ("astar_ghw", "grid4", None, 2, 3, 3, True, 12, 0, 5,
+     [("lb", 3), ("ub", 4), ("ub", 3), ("lb", 3)]),
+    ("astar_ghw", "grid4", None, 2, 3, 3, True, 12, 0, 4,
      [(1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (2, 2), (3, 3),
       (1, 3), (2, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
-     [("lb", 3), ("ub", 4), ("ub", 3), ("ub", 3), ("lb", 3)]),
+     [("lb", 3), ("ub", 4), ("ub", 3), ("lb", 3)]),
     ("astar_ghw", "rh12", 3, 3, 3, 3, True, 0, 1, 2,
      [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
      [("lb", 2), ("ub", 3)]),
@@ -364,20 +364,18 @@ HOOKED = [
      [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (1, 0), (1, 3), (3, 1), (0, 2),
       (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2)],
      [("lb", Fraction(5, 2)), ("ub", 4), ("lb", 3)]),
-    ("astar_fhw", "grid4", None, 3, 3, 3, True, 76, 1, 5,
+    ("astar_fhw", "grid4", None, 3, 3, 3, True, 76, 1, 4,
      [(0, 0), (0, 1), (0, 3), (1, 3), (3, 0), (3, 1), (3, 2), (3, 3), (2, 2),
       (2, 3), (1, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)],
-     [("lb", Fraction(5, 2)), ("ub", 4), ("ub", 3), ("ub", 3), ("lb", 3)]),
-    ("astar_fhw", "grid4", 4, None, 3, 3, True, 76, 0, 6,
+     [("lb", Fraction(5, 2)), ("ub", 4), ("ub", 3), ("lb", 3)]),
+    ("astar_fhw", "grid4", 4, None, 3, 3, True, 76, 0, 5,
      [(0, 0), (0, 1), (0, 3), (1, 3), (3, 0), (3, 1), (3, 2), (3, 3), (2, 2),
       (2, 3), (1, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)],
-     [("lb", Fraction(5, 2)), ("ub", 4), ("lb", 3), ("ub", 3), ("ub", 3),
-      ("lb", 3)]),
-    ("astar_fhw", "grid4", None, 2, 3, 3, True, 76, 0, 6,
+     [("lb", Fraction(5, 2)), ("ub", 4), ("lb", 3), ("ub", 3), ("lb", 3)]),
+    ("astar_fhw", "grid4", None, 2, 3, 3, True, 76, 0, 5,
      [(0, 0), (0, 1), (0, 3), (1, 3), (3, 0), (3, 1), (3, 2), (3, 3), (2, 2),
       (2, 3), (1, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)],
-     [("lb", Fraction(5, 2)), ("ub", 4), ("lb", 3), ("ub", 3), ("ub", 3),
-      ("lb", 3)]),
+     [("lb", Fraction(5, 2)), ("ub", 4), ("lb", 3), ("ub", 3), ("lb", 3)]),
     ("astar_fhw", "rh12", Fraction(5, 2), Fraction(5, 2), 3, Fraction(5, 2),
      False, 1, 1, 2,
      [1, 7, 5, 2, 4, 6, 8, 0, 10, 11, 3, 9],
@@ -388,21 +386,21 @@ HOOKED = [
      [("lb", Fraction(4, 3)), ("ub", 3), ("lb", 2), ("ub", Fraction(8, 3)),
       ("lb", Fraction(5, 2))]),
     ("astar_fhw", "rh12", None, Fraction(5, 2), Fraction(5, 2), Fraction(5, 2),
-     True, 61, 1, 6,
+     True, 61, 1, 5,
      [1, 7, 5, 0, 2, 3, 4, 6, 8, 9, 10, 11],
      [("lb", Fraction(4, 3)), ("ub", 3), ("ub", Fraction(8, 3)),
-      ("ub", Fraction(5, 2)), ("ub", Fraction(5, 2)), ("lb", Fraction(5, 2))]),
+      ("ub", Fraction(5, 2)), ("lb", Fraction(5, 2))]),
     ("astar_fhw", "rh12", Fraction(7, 2), None, Fraction(5, 2), Fraction(5, 2),
-     True, 61, 0, 8,
+     True, 61, 0, 7,
      [1, 7, 5, 0, 2, 3, 4, 6, 8, 9, 10, 11],
      [("lb", Fraction(4, 3)), ("ub", 3), ("lb", 2), ("ub", Fraction(8, 3)),
-      ("lb", Fraction(5, 2)), ("ub", Fraction(5, 2)), ("ub", Fraction(5, 2)),
+      ("lb", Fraction(5, 2)), ("ub", Fraction(5, 2)),
       ("lb", Fraction(5, 2))]),
     ("astar_fhw", "rh12", None, Fraction(3, 2), Fraction(5, 2), Fraction(5, 2),
-     True, 61, 1, 8,
+     True, 61, 1, 7,
      [1, 7, 5, 0, 2, 3, 4, 6, 8, 9, 10, 11],
      [("lb", Fraction(4, 3)), ("ub", 3), ("lb", 2), ("ub", Fraction(8, 3)),
-      ("lb", Fraction(5, 2)), ("ub", Fraction(5, 2)), ("ub", Fraction(5, 2)),
+      ("lb", Fraction(5, 2)), ("ub", Fraction(5, 2)),
       ("lb", Fraction(5, 2))]),
     ("astar_fhw", "gnm14", Fraction(7, 2), Fraction(7, 2), 4, Fraction(7, 2),
      False, 1, 1, 2,
@@ -413,20 +411,20 @@ HOOKED = [
      [2, 3, 6, 11, 7, 1, 0, 10, 12, 13, 4, 5, 8, 9],
      [("lb", 3), ("ub", 4), ("lb", Fraction(7, 2))]),
     ("astar_fhw", "gnm14", None, Fraction(7, 2), Fraction(7, 2), Fraction(7,
-     2), True, 97, 1, 5,
+     2), True, 97, 1, 4,
      [11, 6, 2, 3, 9, 0, 13, 8, 10, 4, 12, 1, 5, 7],
-     [("lb", 3), ("ub", 4), ("ub", Fraction(7, 2)), ("ub", Fraction(7, 2)),
+     [("lb", 3), ("ub", 4), ("ub", Fraction(7, 2)),
       ("lb", Fraction(7, 2))]),
     ("astar_fhw", "gnm14", Fraction(9, 2), None, Fraction(7, 2), Fraction(7,
-     2), True, 97, 0, 6,
+     2), True, 97, 0, 5,
      [11, 6, 2, 3, 9, 0, 13, 8, 10, 4, 12, 1, 5, 7],
      [("lb", 3), ("ub", 4), ("lb", Fraction(7, 2)), ("ub", Fraction(7, 2)),
-      ("ub", Fraction(7, 2)), ("lb", Fraction(7, 2))]),
+      ("lb", Fraction(7, 2))]),
     ("astar_fhw", "gnm14", None, Fraction(5, 2), Fraction(7, 2), Fraction(7,
-     2), True, 97, 0, 6,
+     2), True, 97, 0, 5,
      [11, 6, 2, 3, 9, 0, 13, 8, 10, 4, 12, 1, 5, 7],
      [("lb", 3), ("ub", 4), ("lb", Fraction(7, 2)), ("ub", Fraction(7, 2)),
-      ("ub", Fraction(7, 2)), ("lb", Fraction(7, 2))]),
+      ("lb", Fraction(7, 2))]),
 ]
 
 

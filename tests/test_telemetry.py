@@ -414,7 +414,7 @@ class TestPortfolioTrace:
         graph = get_instance("myciel4").build()
         result = run_portfolio(
             graph,
-            backends=["bb-tw", "min-fill"],
+            backends=["bb-tw", "astar-tw"],
             jobs=2,
             budget_seconds=30,
             trace=str(path),
@@ -439,7 +439,7 @@ class TestPortfolioTrace:
         graph = get_instance("myciel4").build()
         run_portfolio(
             graph,
-            backends=["min-fill", "bb-tw"],
+            backends=["astar-tw", "bb-tw"],
             jobs=2,
             deterministic=True,
             max_nodes=2000,
@@ -463,7 +463,7 @@ class TestPortfolioTrace:
         graph = get_instance("myciel4").build()
         result = run_portfolio(
             graph,
-            backends=["min-fill"],
+            backends=["bb-tw"],
             jobs=1,
             deterministic=True,
             max_nodes=500,
