@@ -499,8 +499,10 @@ def cdcl_hypertree_width(
 def _edge_components_of(hypergraph: Hypergraph) -> list[frozenset]:
     from ..search.detkdecomp import _edge_components
 
+    names = hypergraph.edge_names()
     return _edge_components(
-        hypergraph, frozenset(hypergraph.edges), frozenset()
+        hypergraph, frozenset(names), frozenset(),
+        {name: i for i, name in enumerate(names)},
     )
 
 

@@ -81,7 +81,9 @@ def det_k_decomp(
     solver = _DetKDecomp(hypergraph, k, max_states, metrics)
     edge_names = frozenset(hypergraph.edge_names())
     roots: list[_Node] = []
-    for component in _edge_components(hypergraph, edge_names, frozenset()):
+    for component in _edge_components(
+        hypergraph, edge_names, frozenset(), solver.rank
+    ):
         node = solver.decompose(component, frozenset())
         if node is None:
             return None
@@ -137,6 +139,7 @@ class _DetKDecomp:
             for name, mask in zip(self.engine.edge_names,
                                   self.engine.edge_masks)
         }
+        self.rank = {name: i for i, name in enumerate(self.engine.edge_names)}
 
     def decompose(
         self, component: frozenset, connector: frozenset
@@ -180,7 +183,7 @@ class _DetKDecomp:
             children: list[_Node] = []
             ok = True
             for child_component in _edge_components(
-                self.hypergraph, frozenset(remaining), chi
+                self.hypergraph, frozenset(remaining), chi, self.rank
             ):
                 child_vars = frozenset().union(
                     *(self.edges[name] for name in child_component)
@@ -240,10 +243,15 @@ def _iter_separators(
 
 
 def _edge_components(
-    hypergraph: Hypergraph, edge_names: frozenset, separator_vars: frozenset
+    hypergraph: Hypergraph, edge_names: frozenset, separator_vars: frozenset,
+    rank: dict,
 ) -> list[frozenset]:
     """Connected components of ``edge_names`` where two edges touch iff
-    they share a vertex outside ``separator_vars``."""
+    they share a vertex outside ``separator_vars``, ordered by their
+    lowest-``rank`` edge.  ``rank`` numbers the edge names (insertion
+    order), so the order does not depend on string hashing and with it
+    neither do the subproblems a search visits nor its witness's node
+    numbering."""
     edges = hypergraph.edges
     vertex_to_edges: dict[Hashable, list] = {}
     for name in edge_names:
@@ -252,8 +260,10 @@ def _edge_components(
                 vertex_to_edges.setdefault(v, []).append(name)
     remaining = set(edge_names)
     components: list[frozenset] = []
-    while remaining:
-        seed = remaining.pop()
+    for seed in sorted(edge_names, key=rank.__getitem__):
+        if seed not in remaining:
+            continue
+        remaining.discard(seed)
         group = {seed}
         frontier = [seed]
         while frontier:

@@ -100,6 +100,7 @@ class _OptKDecomp:
             for name, mask in zip(self.engine.edge_names,
                                   self.engine.edge_masks)
         }
+        self.rank = {name: i for i, name in enumerate(self.engine.edge_names)}
         self.states = 0
 
     def _record(self, component: frozenset, connector: frozenset) -> _Record:
@@ -168,7 +169,7 @@ class _OptKDecomp:
             width = len(lam)
             ok = True
             for child_component in _edge_components(
-                self.hypergraph, frozenset(remaining), chi
+                self.hypergraph, frozenset(remaining), chi, self.rank
             ):
                 child_vars = frozenset().union(
                     *(self.edges[name] for name in child_component)
@@ -243,7 +244,8 @@ def opt_k_decomp(
         hypergraph, max_states, metrics, tracer, deadline, hooks
     )
     components = _edge_components(
-        hypergraph, frozenset(hypergraph.edge_names()), frozenset()
+        hypergraph, frozenset(hypergraph.edge_names()), frozenset(),
+        solver.rank,
     )
     exact = True
     rungs = 0
