@@ -37,10 +37,10 @@ Correctness invariants, each load-bearing for ``check_ghd``:
   :class:`BalancedCertificationError` is an internal bug, never a wrong
   answer).
 
-Subproblems are memoized in the engine's :class:`CoverCache` keyed by
-``(component edge-mask, connector mask, k)`` — two components with
-identical edge sets are the same subproblem wherever they arise, and
-the ``cache.cross_component_hit`` counter records each such reuse.
+Subproblems are memoized per core, keyed by ``(component edge-mask,
+connector mask, k)`` — two components with identical edge sets are the
+same subproblem wherever they arise, and the
+``cache.cross_component_hit`` counter records each such reuse.
 """
 
 from __future__ import annotations
@@ -197,7 +197,6 @@ class BalancedCore:
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.engine = BitCoverEngine(hypergraph, self.metrics)
-        self.cache = self.engine.cache
         names = self.engine.edge_names
         self.edge_vmask = dict(zip(names, self.engine.edge_masks))
         self.edge_bit = {name: 1 << i for i, name in enumerate(names)}
@@ -208,6 +207,9 @@ class BalancedCore:
         self.c_relax = self.metrics.counter("parallel.relaxations")
         self.c_failures = self.metrics.counter("parallel.failures")
         self.c_stitches = self.metrics.counter("parallel.stitches")
+        # Solved subproblems (subtree, or None for a proven failure).
+        self.memo: dict[tuple[int, int, int], object] = {}
+        self.c_memo_hit = self.metrics.counter("cache.cross_component_hit")
         self.deadline: float | None = None
         self.states = 0
 
@@ -255,9 +257,9 @@ class BalancedCore:
         self._check_budget()
         key = (self.component_mask(component),
                self.engine.mask_of(connector), k)
-        hit, node = self.cache.component_result(key)
-        if hit:
-            return node
+        if key in self.memo:
+            self.c_memo_hit.inc()
+            return self.memo[key]
         self.states += 1
         self.c_subproblems.inc()
         connector_mask = key[1]
@@ -265,7 +267,7 @@ class BalancedCore:
         node = self._decompose_scope(
             component, connector_mask, scope, k, depth
         )
-        self.cache.store_component(key, node)
+        self.memo[key] = node
         if node is None:
             self.c_failures.inc()
         return node

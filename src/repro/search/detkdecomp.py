@@ -16,6 +16,9 @@ of Gottlob–Leone–Scarcello) contains at least one edge of C, sets
 ``χ = var(λ) ∩ (var(C) ∪ Conn)``, splits the uncovered edges of C into
 connected components with respect to vertices outside χ, and recurses.
 Memoization on ``(C, Conn)`` keeps the procedure polynomial for fixed k.
+The recursion takes k as an argument and keeps one cross-rung record
+per subproblem, so opt-k-decomp (:mod:`.optkdecomp`) runs the same
+core down a ladder of k; :func:`det_k_decomp` runs one rung of it.
 
 The constructed decomposition is returned as a
 :class:`~repro.decomposition.htd.HypertreeDecomposition` and satisfies
@@ -25,12 +28,16 @@ all four conditions by construction (and by the validator, in tests).
 from __future__ import annotations
 
 import itertools
+import time
 from collections.abc import Hashable
 
 from ..decomposition.htd import HypertreeDecomposition
 from ..hypergraph.hypergraph import Hypergraph
 from ..setcover.bitcover import BitCoverEngine
-from ..telemetry import Metrics
+from ..telemetry import NULL_TRACER, Metrics
+
+# One optk_subproblem trace event per this many fresh subproblems.
+_SUBPROBLEM_TRACE_EVERY = 64
 
 
 class LadderExhausted(RuntimeError):
@@ -78,17 +85,8 @@ def det_k_decomp(
         htd.add_node("root", bag=(), cover=())
         return htd
 
-    solver = _DetKDecomp(hypergraph, k, max_states, metrics)
-    edge_names = frozenset(hypergraph.edge_names())
-    roots: list[_Node] = []
-    for component in _edge_components(
-        hypergraph, edge_names, frozenset(), solver.rank
-    ):
-        node = solver.decompose(component, frozenset())
-        if node is None:
-            return None
-        roots.append(node)
-    return _materialize(roots)
+    result = _KDecomp(hypergraph, max_states, metrics).rung(k)
+    return None if result is None else _materialize(result[0])
 
 
 def hypertree_width(
@@ -117,61 +115,132 @@ def hypertree_width(
     )
 
 
-class _DetKDecomp:
+class _Record:
+    """Cross-rung state of one (component, connector) subproblem."""
+
+    __slots__ = ("witness", "width", "infeasible_k")
+
+    def __init__(self):
+        self.witness: _Node | None = None
+        self.width: int | None = None  # actual subtree width of witness
+        self.infeasible_k = 0  # max k proven to admit no decomposition
+
+
+class _KDecomp:
+    """The (component, connector) backtracking with the width bound as
+    a call argument, shared by det-k-decomp (one rung) and opt-k-decomp
+    (a descending ladder of rungs).  Each subproblem keeps a cross-rung
+    record:
+
+    * a witness subtree together with its actual width ``w`` answers
+      every later rung ``k ≥ w`` without re-searching, and
+    * a failure at rung ``k`` answers every later rung ``k' ≤ k``
+      (separator space only shrinks as k drops).
+
+    On a single rung this is det-k-decomp's memo: each subproblem is
+    decided once.  Running out of states or past ``deadline`` (a
+    ``time.monotonic()`` value) raises ``RuntimeError``;
+    ``hooks.check_stop`` may raise :class:`RaceStopped`."""
+
     def __init__(
         self,
         hypergraph: Hypergraph,
-        k: int,
         max_states: int | None,
         metrics: Metrics | None = None,
+        tracer=NULL_TRACER,
+        deadline: float | None = None,
+        hooks=None,
     ):
         self.hypergraph = hypergraph
-        self.k = k
         self.edges = hypergraph.edges
-        self.memo: dict[tuple[frozenset, frozenset], _Node | None] = {}
         self.max_states = max_states
+        self.tracer = tracer
+        self.deadline = deadline
+        self.hooks = hooks
         # Bitmask cover engine: per-edge vertex masks for the separator
         # enumeration, exact covers (dominance-cached) for the connector
         # feasibility prune.
         self.engine = BitCoverEngine(hypergraph, metrics)
-        self.edge_mask = {
-            name: mask
-            for name, mask in zip(self.engine.edge_names,
-                                  self.engine.edge_masks)
-        }
+        self.edge_mask = dict(
+            zip(self.engine.edge_names, self.engine.edge_masks)
+        )
         self.rank = {name: i for i, name in enumerate(self.engine.edge_names)}
+        self.records: dict[tuple[frozenset, frozenset], _Record] = {}
+        self.states = 0
+        self.components = _edge_components(
+            hypergraph, frozenset(self.edge_mask), frozenset(), self.rank
+        )
+
+    def rung(self, k: int) -> tuple[list[_Node], int] | None:
+        """Witness subtrees of width ≤ k for the hypergraph's connected
+        components with their joint actual width, or ``None`` when
+        provably none exists."""
+        roots: list[_Node] = []
+        width = 0
+        for component in self.components:
+            result = self.decompose(component, frozenset(), k)
+            if result is None:
+                return None
+            roots.append(result[0])
+            width = max(width, result[1])
+        return roots, width
 
     def decompose(
-        self, component: frozenset, connector: frozenset
-    ) -> _Node | None:
+        self, component: frozenset, connector: frozenset, k: int
+    ) -> tuple[_Node, int] | None:
+        """A witness subtree of width ≤ k for the subproblem, with its
+        actual width, or ``None`` when provably none exists."""
         key = (component, connector)
-        if key in self.memo:
-            return self.memo[key]
-        if self.max_states is not None and len(self.memo) >= self.max_states:
+        record = self.records.get(key)
+        if record is None:
+            record = self.records[key] = _Record()
+        if record.infeasible_k >= k:
+            return None
+        if record.witness is not None and record.width <= k:
+            return record.witness, record.width
+        self.states += 1
+        if self.max_states is not None and self.states > self.max_states:
             raise RuntimeError(
-                "det-k-decomp state budget exhausted; raise max_states"
+                "hypertree decomposition state budget exhausted; "
+                "raise max_states"
             )
-        self.memo[key] = None  # provisional (also breaks hypothetical cycles)
+        # Every fresh subproblem reads the clock and the stop word: one
+        # can cost tens of milliseconds on a wide instance.
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise RuntimeError(
+                "hypertree decomposition time budget exhausted"
+            )
+        if self.hooks is not None:
+            self.hooks.check_stop()
+        if self.states % _SUBPROBLEM_TRACE_EVERY == 0:
+            self.tracer.event(
+                "optk_subproblem",
+                states=self.states,
+                component_edges=len(component),
+                connector_size=len(connector),
+                k=k,
+            )
+        connector_mask = 0
         if connector:
             # Feasibility prune: every λ must cover the connector, and a
             # minimum cover over ALL hyperedges lower-bounds any cover by
             # a λ of ≤ k of them — if even that exceeds k, no separator
             # exists for this subproblem.
             connector_mask = self.engine.mask_of(connector)
-            if self.engine.exact_size(connector_mask) > self.k:
+            if self.engine.exact_size(connector_mask) > k:
+                record.infeasible_k = max(record.infeasible_k, k)
                 return None
         edge_mask = self.edge_mask
-        scope_mask = 0
+        scope_mask = connector_mask
         for name in component:
             scope_mask |= edge_mask[name]
-        if connector:
-            scope_mask |= connector_mask
-        result = None
         for lam, lam_vars_mask in self._separators(
-            component, connector, scope_mask
+            component, connector_mask, scope_mask, k
         ):
             chi_mask = lam_vars_mask & scope_mask
-            chi = frozenset(self.engine.mask_to_vertices(chi_mask)) | connector
+            chi = (
+                frozenset(self.engine.mask_to_vertices(chi_mask)) | connector
+            )
             covered = {
                 name
                 for name in component
@@ -181,65 +250,58 @@ class _DetKDecomp:
                 continue  # no progress; normal form requires some
             remaining = component - covered
             children: list[_Node] = []
+            width = len(lam)
             ok = True
             for child_component in _edge_components(
-                self.hypergraph, frozenset(remaining), chi, self.rank
+                self.hypergraph, remaining, chi, self.rank
             ):
                 child_vars = frozenset().union(
                     *(self.edges[name] for name in child_component)
                 )
                 child_connector = child_vars & chi
-                child = self.decompose(child_component, child_connector)
+                child = self.decompose(child_component, child_connector, k)
                 if child is None:
                     ok = False
                     break
-                children.append(child)
+                child_node, child_width = child
+                children.append(child_node)
+                width = max(width, child_width)
             if ok:
-                result = _Node(frozenset(chi), frozenset(lam), children)
-                break
-        self.memo[key] = result
-        return result
+                node = _Node(chi, lam, children)
+                if record.width is None or width < record.width:
+                    record.witness = node
+                    record.width = width
+                return node, width
+        record.infeasible_k = max(record.infeasible_k, k)
+        return None
 
-    def _separators(self, component, connector, scope_mask):
-        return _iter_separators(
-            self.edge_mask, self.engine, component, connector,
-            scope_mask, self.k,
+    def _separators(
+        self, component: frozenset, connector_mask: int, scope_mask: int,
+        k: int,
+    ):
+        """Candidate λ sets: ≤ k edges touching the scope, at least one
+        from the component, jointly covering the connector.  Yielded
+        with their vertex masks, in a deterministic order, component
+        edges first (they make progress), then by name ``repr``."""
+        edge_mask = self.edge_mask
+        touching = sorted(
+            (
+                name
+                for name, mask in edge_mask.items()
+                if mask & scope_mask
+            ),
+            key=lambda name: (name not in component, repr(name)),
         )
-
-
-def _iter_separators(
-    edge_mask: dict, engine: BitCoverEngine, component: frozenset,
-    connector: frozenset, scope_mask: int, k: int,
-):
-    """Candidate λ sets: ≤ k edges touching the scope, at least one
-    from the component, jointly covering the connector.  Yielded
-    with their vertex masks, in a deterministic order, component
-    edges first (they make progress) — the same order as the
-    frozenset implementation (edge masks iterate in hypergraph
-    insertion order, sorted by the same key).
-
-    Shared by det-k-decomp and opt-k-decomp so the two searches
-    enumerate identical separator sequences (the differential tests
-    rely on this)."""
-    touching = sorted(
-        (
-            name
-            for name, mask in edge_mask.items()
-            if mask & scope_mask
-        ),
-        key=lambda name: (name not in component, repr(name)),
-    )
-    connector_mask = engine.mask_of(connector) if connector else 0
-    for size in range(1, k + 1):
-        for lam in itertools.combinations(touching, size):
-            lam_set = frozenset(lam)
-            if not (lam_set & component):
-                continue
-            lam_vars_mask = 0
-            for name in lam:
-                lam_vars_mask |= edge_mask[name]
-            if connector_mask & ~lam_vars_mask == 0:
-                yield lam_set, lam_vars_mask
+        for size in range(1, k + 1):
+            for lam in itertools.combinations(touching, size):
+                lam_set = frozenset(lam)
+                if not (lam_set & component):
+                    continue
+                lam_vars_mask = 0
+                for name in lam:
+                    lam_vars_mask |= edge_mask[name]
+                if connector_mask & ~lam_vars_mask == 0:
+                    yield lam_set, lam_vars_mask
 
 
 def _edge_components(

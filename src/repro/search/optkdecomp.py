@@ -6,19 +6,12 @@ turns the same (component, connector) backtracking into an *optimum*
 search: start from a certified heuristic incumbent
 (``htd_from_ordering`` on min-fill), walk k downward, and after every
 successful rung jump straight below the witness's actual width.  The
-rungs share one :class:`~repro.setcover.bitcover.BitCoverEngine` and its
-:class:`~repro.setcover.bitcover.CoverCache`: each ``(component,
-connector)`` subproblem keeps a *cross-rung dominance record* in the
-cache's component layer —
-
-* a witness subtree together with its actual width ``w`` answers every
-  later rung ``k ≥ w`` without re-searching, and
-* a failure at rung ``k`` answers every later rung ``k' ≤ k``
-  (separator space only shrinks as k drops)
-
-— which is the cross-run reuse the original opt-k-decomp gets from its
-shared cut-tracking tables, here riding the same cache layer the
-balanced-separator pool uses for cross-component sharing.
+rungs share one instance of det-k-decomp's core
+(:class:`~repro.search.detkdecomp._KDecomp`), whose per-subproblem
+cross-rung records — a witness of width ``w`` answers every rung
+``k ≥ w``, a failure at ``k`` every rung ``k' ≤ k`` — are the cross-run
+reuse the original opt-k-decomp gets from its shared cut-tracking
+tables.
 
 Every rung's decomposition is certified by ``check_htd`` before its
 width is believed; the ladder publishes/polls
@@ -35,24 +28,9 @@ from ..bounds.ghw_lower import ghw_lower_bound
 from ..bounds.upper import min_fill_ordering
 from ..decomposition.htd import HypertreeDecomposition, htd_from_ordering
 from ..hypergraph.hypergraph import Hypergraph
-from ..setcover.bitcover import BitCoverEngine
 from ..telemetry import NULL_TRACER, Metrics
 from ..verify.certificate import assert_certified
-from .detkdecomp import _edge_components, _iter_separators, _materialize, _Node
-
-# One optk_subproblem trace event per this many fresh subproblems.
-_SUBPROBLEM_TRACE_EVERY = 64
-
-
-class _Record:
-    """Cross-rung state of one (component, connector) subproblem."""
-
-    __slots__ = ("witness", "width", "infeasible_k")
-
-    def __init__(self):
-        self.witness: _Node | None = None
-        self.width: int | None = None  # actual subtree width of witness
-        self.infeasible_k = 0  # max k proven to admit no decomposition
+from .detkdecomp import LadderExhausted, _KDecomp, _materialize
 
 
 @dataclass
@@ -69,127 +47,6 @@ class OptKResult:
     @property
     def width(self) -> int:
         return self.upper
-
-
-class _OptKDecomp:
-    """The rung-parametric backtracking core (det-k-decomp's recursion
-    with the width bound as a call argument and the memo replaced by
-    cross-rung dominance records).  Running out of states or past
-    ``deadline`` (a ``time.monotonic()`` value) raises ``RuntimeError``;
-    ``hooks.check_stop`` may raise :class:`RaceStopped`."""
-
-    def __init__(
-        self,
-        hypergraph: Hypergraph,
-        max_states: int | None,
-        metrics: Metrics | None = None,
-        tracer=NULL_TRACER,
-        deadline: float | None = None,
-        hooks=None,
-    ):
-        self.hypergraph = hypergraph
-        self.edges = hypergraph.edges
-        self.max_states = max_states
-        self.tracer = tracer
-        self.deadline = deadline
-        self.hooks = hooks
-        self.engine = BitCoverEngine(hypergraph, metrics)
-        self.cache = self.engine.cache
-        self.edge_mask = {
-            name: mask
-            for name, mask in zip(self.engine.edge_names,
-                                  self.engine.edge_masks)
-        }
-        self.rank = {name: i for i, name in enumerate(self.engine.edge_names)}
-        self.states = 0
-
-    def _record(self, component: frozenset, connector: frozenset) -> _Record:
-        key = ("optk", component, connector)
-        hit, record = self.cache.component_result(key)
-        if not hit:
-            record = _Record()
-            self.cache.store_component(key, record)
-        return record
-
-    def decompose(
-        self, component: frozenset, connector: frozenset, k: int
-    ) -> tuple[_Node, int] | None:
-        """A witness subtree of width ≤ k for the subproblem, with its
-        actual width, or ``None`` when provably none exists."""
-        record = self._record(component, connector)
-        if record.infeasible_k >= k:
-            return None
-        if record.witness is not None and record.width <= k:
-            return record.witness, record.width
-        self.states += 1
-        if self.max_states is not None and self.states > self.max_states:
-            raise RuntimeError(
-                "opt-k-decomp state budget exhausted; raise max_states"
-            )
-        # Every fresh subproblem reads the clock and the stop word: one
-        # can cost tens of milliseconds on a wide instance.
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise RuntimeError("opt-k-decomp time budget exhausted")
-        if self.hooks is not None:
-            self.hooks.check_stop()
-        if self.states % _SUBPROBLEM_TRACE_EVERY == 0:
-            self.tracer.event(
-                "optk_subproblem",
-                states=self.states,
-                component_edges=len(component),
-                connector_size=len(connector),
-                k=k,
-            )
-        connector_mask = 0
-        if connector:
-            connector_mask = self.engine.mask_of(connector)
-            if self.engine.exact_size(connector_mask) > k:
-                record.infeasible_k = max(record.infeasible_k, k)
-                return None
-        edge_mask = self.edge_mask
-        scope_mask = connector_mask
-        for name in component:
-            scope_mask |= edge_mask[name]
-        for lam, lam_vars_mask in _iter_separators(
-            edge_mask, self.engine, component, connector, scope_mask, k
-        ):
-            chi_mask = lam_vars_mask & scope_mask
-            chi = (
-                frozenset(self.engine.mask_to_vertices(chi_mask)) | connector
-            )
-            covered = {
-                name
-                for name in component
-                if edge_mask[name] & ~chi_mask == 0
-            }
-            if not covered:
-                continue  # no progress; normal form requires some
-            remaining = component - covered
-            children: list[_Node] = []
-            width = len(lam)
-            ok = True
-            for child_component in _edge_components(
-                self.hypergraph, frozenset(remaining), chi, self.rank
-            ):
-                child_vars = frozenset().union(
-                    *(self.edges[name] for name in child_component)
-                )
-                child_connector = child_vars & chi
-                child = self.decompose(child_component, child_connector, k)
-                if child is None:
-                    ok = False
-                    break
-                child_node, child_width = child
-                children.append(child_node)
-                width = max(width, child_width)
-            if ok:
-                node = _Node(frozenset(chi), frozenset(lam), children)
-                if record.width is None or width < record.width:
-                    record.witness = node
-                    record.width = width
-                return node, width
-        record.infeasible_k = max(record.infeasible_k, k)
-        return None
 
 
 def opt_k_decomp(
@@ -240,12 +97,8 @@ def opt_k_decomp(
         hooks.publish_upper(upper)
     if hooks is not None and hooks.publish_lower:
         hooks.publish_lower(lower)
-    solver = _OptKDecomp(
+    solver = _KDecomp(
         hypergraph, max_states, metrics, tracer, deadline, hooks
-    )
-    components = _edge_components(
-        hypergraph, frozenset(hypergraph.edge_names()), frozenset(),
-        solver.rank,
     )
     exact = True
     rungs = 0
@@ -264,28 +117,19 @@ def opt_k_decomp(
                 if k < lower:
                     break
         rungs += 1
-        roots: list[_Node] = []
-        width = 0
-        feasible = True
         try:
-            for component in components:
-                result = solver.decompose(component, frozenset(), k)
-                if result is None:
-                    feasible = False
-                    break
-                node, node_width = result
-                roots.append(node)
-                width = max(width, node_width)
+            result = solver.rung(k)
         except RuntimeError:
             exact = False
             break
         tracer.event(
             "optk_rung",
             k=k,
-            feasible=feasible,
+            feasible=result is not None,
             states=solver.states,
         )
-        if feasible:
+        if result is not None:
+            roots, width = result
             witness = _materialize(roots)
             assert_certified(witness, hypergraph, "opt-k-decomp witness")
             assert witness.ghw_width == width <= k, (witness.ghw_width, k)
@@ -318,8 +162,6 @@ def opt_k_hypertree_width(
     returns ``(hw, certified decomposition)`` or raises
     :class:`~repro.search.detkdecomp.LadderExhausted` when ``max_width``
     (or the state budget) leaves the question open."""
-    from .detkdecomp import LadderExhausted
-
     result = opt_k_decomp(
         hypergraph, max_width=max_width, max_states=max_states
     )

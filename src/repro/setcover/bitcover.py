@@ -84,17 +84,21 @@ class CoverCache:
     and bounds *across* layers: any integral cover is a fractional cover
     (fractional <= exact <= any ``cover`` entry), and conversely
     ``ceil(fractional)`` is a sound floor for the exact layer.
+
+    Subproblem memos keyed by edge sets (det-k/opt-k-decomp's cross-rung
+    records, the balanced recursion's memo) live in those searches, not
+    here.
     """
 
     __slots__ = (
-        "exact", "greedy", "cover", "fractional", "component",
+        "exact", "greedy", "cover", "fractional",
         "_cover_by_size", "_exact_by_size", "_fractional_by_size",
         "c_exact_hit", "c_exact_dominance", "c_exact_computed",
         "c_upper_hit", "c_upper_dominance", "c_upper_computed",
         "c_greedy_hit", "c_greedy_computed", "c_seeded",
         "c_frac_hit", "c_frac_dominance", "c_frac_computed",
         "c_inv_calls", "c_inv_exact", "c_inv_greedy", "c_inv_cover",
-        "c_inv_frac", "c_component_hit",
+        "c_inv_frac",
     )
 
     def __init__(self, metrics: Metrics | None = None):
@@ -103,12 +107,6 @@ class CoverCache:
         self.cover: dict[int, int] = {}
         # Fourth layer: exact fractional cover optima (int | Fraction).
         self.fractional: dict[int, Width] = {}
-        # Fifth layer: solved subproblems of the balanced-separator
-        # recursion, keyed by (component edge-mask, connector mask, k).
-        # Two components with identical edge sets are the same
-        # subproblem wherever they arise in the split tree, so a hit
-        # here is by construction a *cross-component* reuse.
-        self.component: dict[tuple, object] = {}
         # (size, mask) sorted ascending by size — dominance scan orders.
         self._cover_by_size: list[tuple[int, int]] = []
         self._exact_by_size: list[tuple[int, int]] = []
@@ -131,7 +129,6 @@ class CoverCache:
         self.c_inv_greedy = registry.counter("cache.invalidate.greedy")
         self.c_inv_cover = registry.counter("cache.invalidate.cover")
         self.c_inv_frac = registry.counter("cache.invalidate.fractional")
-        self.c_component_hit = registry.counter("cache.cross_component_hit")
 
     # -- stores ---------------------------------------------------------
 
@@ -162,28 +159,6 @@ class CoverCache:
             self.fractional[mask] = value
             _insort(self._fractional_by_size, (value, mask))
 
-    # -- subproblem layer (balanced-separator recursion) -----------------
-
-    def store_component(self, key: tuple, value: object) -> None:
-        """Record the outcome of one ``(component edge-mask, connector
-        mask, k)`` subproblem — the solved subtree, or ``None`` for a
-        proven failure at that ``k``.  First write wins: subproblems are
-        deterministic functions of their key, so a racing second write
-        can only carry the same answer."""
-        self.component.setdefault(key, value)
-
-    def component_result(self, key: tuple) -> tuple[bool, object]:
-        """Look up a solved subproblem; returns ``(hit, value)``.
-
-        A hit means a component with the *same edge set* (and connector
-        and width bound) was already decomposed — sibling subproblems
-        sharing this cache skip the whole recursion.  The
-        ``cache.cross_component_hit`` counter records exactly these."""
-        if key in self.component:
-            self.c_component_hit.inc()
-            return True, self.component[key]
-        return False, None
-
     # -- targeted invalidation (the incremental re-solve API) -----------
 
     def invalidate_intersecting(self, touched_mask: int) -> int:
@@ -203,11 +178,6 @@ class CoverCache:
         """
         self.c_inv_calls.inc()
         dropped = 0
-        # Subproblem keys embed edge *indices*, which shift under edge
-        # edits — the whole layer is stale, not just intersecting rows.
-        if self.component:
-            dropped += len(self.component)
-            self.component.clear()
         for layer, counter in (
             (self.exact, self.c_inv_exact),
             (self.greedy, self.c_inv_greedy),

@@ -260,19 +260,6 @@ class TestComponentCache:
         assert core.decompose(component, frozenset(), 2) is None
         assert hits.value == before + 1
 
-    def test_component_layer_dropped_on_edit(self):
-        """Edge indices shift under hypergraph edits; the component
-        memo must be invalidated wholesale."""
-        hg = as_hypergraph(get_instance("grid2d_4").build())
-        core = BalancedCore(hg, BalancedConfig(deterministic=True))
-        (component, _), *_ = core.top_components()
-        core.decompose(component, frozenset(), 2)
-        assert core.cache.component
-        core.cache.invalidate_intersecting(
-            core.engine.mask_of(hg.vertex_list()[:1])
-        )
-        assert not core.cache.component
-
 
 # ----------------------------------------------------------------------
 # Trace events

@@ -31,6 +31,7 @@ from repro.search import (
     opt_k_hypertree_width,
 )
 from repro.search.common import BoundHooks
+from repro.search.detkdecomp import _KDecomp
 from repro.verify import check_htd
 from tests.conftest import make_covered_hypergraph
 
@@ -249,8 +250,8 @@ class TestOptKDecomp:
     @pytest.mark.parametrize("seed", range(20))
     def test_differential_det_k(self, seed):
         """The PR's audit satellite: opt-k-decomp and det-k-decomp land
-        on the same width on every instance (they enumerate identical
-        separator sequences via the shared ``_iter_separators``)."""
+        on the same width on every instance (they run the same
+        ``(component, connector)`` core)."""
         h = make_covered_hypergraph(6, 8, seed=seed + 14000)
         det_hw, det_htd = hypertree_width(h)
         result = opt_k_decomp(h)
@@ -259,19 +260,35 @@ class TestOptKDecomp:
         assert check_htd(result.decomposition, h) == [], seed
         assert result.decomposition.ghw_width == det_hw, seed
 
-    def test_cross_rung_records_reused(self):
-        """Widths stay correct while the cache layer records cross-rung
-        reuse (the metrics counter is the observable)."""
-        from repro.telemetry import Metrics
+    def _core_on_one_component(self):
+        h = make_covered_hypergraph(10, 14, seed=12)  # hw 3
+        core = _KDecomp(h, max_states=None)
+        (component,) = core.components
+        return core, component
 
-        h = make_covered_hypergraph(7, 9, seed=31)
-        metrics = Metrics()
-        result = opt_k_decomp(h, metrics=metrics)
-        det_hw, _ = hypertree_width(h)
-        assert result.exact and result.width == det_hw
-        if result.rungs > 1:
-            counters = metrics.snapshot()["counters"]
-            assert counters.get("cache.cross_component_hit", 0) >= 0
+    def test_repeated_rung_opens_no_state(self):
+        core, component = self._core_on_one_component()
+        node, width = core.decompose(component, frozenset(), 3)
+        states = core.states
+        assert core.decompose(component, frozenset(), 3) == (node, width)
+        assert core.states == states
+
+    def test_failure_answers_every_lower_rung(self):
+        core, component = self._core_on_one_component()
+        assert core.decompose(component, frozenset(), 2) is None
+        states = core.states
+        assert states > 0
+        assert core.decompose(component, frozenset(), 1) is None
+        assert core.states == states
+
+    def test_witness_answers_every_higher_rung(self):
+        core, component = self._core_on_one_component()
+        node, width = core.decompose(component, frozenset(), 3)
+        assert width == 3
+        states = core.states
+        for k in range(width, width + 4):
+            assert core.decompose(component, frozenset(), k) == (node, width)
+        assert core.states == states
 
 
 # ----------------------------------------------------------------------
