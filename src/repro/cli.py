@@ -307,6 +307,10 @@ def cmd_hw(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
 def cmd_portfolio(args: argparse.Namespace) -> int:
     from .portfolio import DEFAULT_BACKENDS, run_portfolio
 
@@ -331,8 +335,9 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
     label = {"tw": "treewidth"}.get(result.metric, result.metric)
     names = backends or list(DEFAULT_BACKENDS[result.metric])
     header = (
-        f"portfolio ({result.metric}, {len(names)} backends, "
-        f"{result.jobs} jobs{', deterministic' if result.deterministic else ''})"
+        f"portfolio ({result.metric}, {_count(len(names), 'backend')}, "
+        f"{_count(result.jobs, 'job')}"
+        f"{', deterministic' if result.deterministic else ''})"
     )
     if result.exact:
         print(f"{header}: {label} = {result.upper_bound} "

@@ -101,6 +101,15 @@ class TestCommands:
         assert "2 backends" in out
         assert "bound timeline:" in out
 
+    def test_portfolio_header_counts_in_the_singular(self, capsys):
+        assert main([
+            "portfolio", "fano", "--metric", "hw", "--jobs", "1",
+            "--deterministic",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "portfolio (hw, 1 backend, 1 job, deterministic): " in out
+        assert "hw = 3 (exact" in out
+
     @pytest.mark.usefixtures("fault_backends")
     def test_portfolio_crashing_backend_reported(self, capsys):
         assert main([
